@@ -19,6 +19,11 @@ let m_rebuilds = Ufp_obs.Metrics.counter "selector.tree_rebuilds"
 
 let m_par_rebuilds = Ufp_obs.Metrics.counter "selector.par_rebuilds"
 
+let m_speculative_rebuilds =
+  Ufp_obs.Metrics.counter "selector.speculative_rebuilds"
+
+let m_wasted_rebuilds = Ufp_obs.Metrics.counter "selector.wasted_rebuilds"
+
 let m_cache_hits = Ufp_obs.Metrics.counter "selector.cache_hits"
 
 let m_cache_misses = Ufp_obs.Metrics.counter "selector.cache_misses"
@@ -45,6 +50,9 @@ type group = {
   weight : int -> float;
   mutable version : int;  (* bumped on every rebuild *)
   mutable fresh : bool;  (* dist/parent_edge reflect the current weights *)
+  (* Rebuilt speculatively (a batch member other than the triggering
+     group) and no heap entry carrying this version popped yet. *)
+  mutable speculative : bool;
   dist : float array;
   parent_edge : int array;
   mutable members : int list;  (* pending request indices, increasing *)
@@ -61,6 +69,13 @@ type t = {
   kind : kind;
   pool : Pool.choice;
   sssp : sssp;
+  (* Scratch for one incremental refresh: the stale groups rebuilt
+     together (length = the batch width: the pool size when trees fan
+     out across domains, 1 under `Seq or `Delta, whose pool works
+     inside each tree) and the requests whose heap entries it popped
+     (one under a width of 1, else at most one entry per request). *)
+  batch : group array;
+  popped : int array;
   (* Scratch for the delta-stepping kernel (allocated eagerly — it is
      a handful of length-n arrays — so the [`Delta] hot path never
      branches on an option). *)
@@ -194,6 +209,7 @@ let create ?(kind = `Incremental) ?(pool = `Seq) ?(sssp = `Dijkstra) ~weights
           weight;
           version = 0;
           fresh = false;
+          speculative = false;
           dist = Array.make n infinity;
           parent_edge = Array.make n (-1);
           members = [ i ];
@@ -222,6 +238,11 @@ let create ?(kind = `Incremental) ?(pool = `Seq) ?(sssp = `Dijkstra) ~weights
      graph.packed_builds counts stay the same whether or not a pool is
      attached. *)
   ignore (Graph.csr_view graph);
+  let width =
+    match (pool, sssp) with
+    | `Pool p, `Dijkstra -> Pool.size p
+    | `Pool _, `Delta | `Seq, _ -> 1
+  in
   let t =
     {
       graph;
@@ -229,6 +250,8 @@ let create ?(kind = `Incremental) ?(pool = `Seq) ?(sssp = `Dijkstra) ~weights
       kind;
       pool;
       sssp;
+      batch = (if n_req = 0 then [||] else Array.make width groups.(0));
+      popped = Array.make (if width = 1 then 1 else n_req) 0;
       dws = Delta_stepping.create_workspace graph;
       uniform = (match weights with Uniform _ -> true | Per_demand _ -> false);
       groups;
@@ -315,6 +338,7 @@ let commit_rebuild t grp =
   Ufp_obs.Metrics.incr m_rebuilds;
   grp.version <- grp.version + 1;
   grp.fresh <- true;
+  grp.speculative <- false;
   (* Index every tree edge so a dual update on it invalidates this
      tree. Only the incremental kind consults the index. *)
   if t.kind = `Incremental then
@@ -370,7 +394,13 @@ let update_path t path =
         t.deps.(e) <- [];
         List.iter
           (fun (grp, ver) ->
-            if ver = grp.version && grp.fresh then grp.fresh <- false)
+            if ver = grp.version && grp.fresh then begin
+              grp.fresh <- false;
+              if grp.speculative then begin
+                Ufp_obs.Metrics.incr m_wasted_rebuilds;
+                grp.speculative <- false
+              end
+            end)
           l)
     path
 
@@ -440,24 +470,71 @@ let select_naive t =
   | None -> None
   | Some (alpha, i, grp) -> Some { request = i; path = path_for t grp i; alpha }
 
-let select_incremental t =
-  (* With a pool, refresh every stale live tree eagerly and in
-     parallel before consulting the heap. This can rebuild trees the
-     lazy path would have skipped (selector.tree_rebuilds is cache
-     economics and legitimately differs from `Seq), but the selection
-     itself is unchanged: a fresh tree is a pure function of the
-     current weights, so re-scored candidates pop in the same
-     (alpha, index) order either way. *)
+(* Re-score a popped pending entry against its (fresh) group's tree
+   and push it back. An unroutable request stays unroutable under
+   nondecreasing weights: it leaves the heap entirely. *)
+let rescore t grp i =
+  let alpha = score t grp i in
+  if alpha < infinity then heap_push t alpha i grp.version
+
+(* A popped stale entry [i] found its group [grp] stale: rebuild it,
+   plus up to [Array.length t.batch - 1] further stale groups the heap
+   would reach next, then re-score every popped entry. The lookahead keeps
+   popping while it meets stale entries, and stops at an empty heap, at
+   a full batch, or at a top entry that is fresh and current (the next
+   selection, left in place). Under a batch width of 1 nothing beyond
+   [i] is popped and the single rebuild runs inline: this is exactly
+   the sequential lazy loop.
+
+   Speculation cannot move a selection: every rebuild of one [select]
+   sees the same weight epoch, a tree is a pure function of those
+   weights, and a re-scored key is the entry's current score — still a
+   lower bound on every later one. (alpha, index) is a strict order on
+   the heap's entries (one per request), so the pop sequence does not
+   depend on the order entries are pushed back. *)
+let refresh t grp i =
+  let batch = t.batch and popped = t.popped in
+  batch.(0) <- grp;
+  popped.(0) <- i;
+  let n_batch = ref 1 and n_popped = ref 1 and stop = ref false in
+  while (not !stop) && !n_batch < Array.length batch && t.hsize > 0 do
+    let j = t.hr.(0) in
+    let g = t.group_of.(j) in
+    if t.pending.(j) && g.fresh && t.hv.(0) = g.version then stop := true
+    else begin
+      ignore (heap_pop t);
+      if t.pending.(j) then begin
+        Ufp_obs.Metrics.incr m_stale_pops;
+        if g.fresh then rescore t g j
+        else begin
+          let k = ref 0 in
+          while !k < !n_batch && batch.(!k) != g do incr k done;
+          if !k = !n_batch then begin
+            batch.(!k) <- g;
+            incr n_batch
+          end;
+          popped.(!n_popped) <- j;
+          incr n_popped
+        end
+      end
+    end
+  done;
   (match t.pool with
-  | `Seq -> ()
-  | `Pool p ->
-    let stale =
-      Array.of_list
-        (List.filter
-           (fun grp -> grp.members <> [] && not grp.fresh)
-           (Array.to_list t.groups))
-    in
-    rebuild_parallel t p stale);
+  | `Pool p when !n_batch > 1 ->
+    rebuild_parallel t p (Array.sub batch 0 !n_batch)
+  | _ -> rebuild t grp);
+  Ufp_obs.Metrics.incr m_cache_misses;
+  for k = 1 to !n_batch - 1 do
+    Ufp_obs.Metrics.incr m_cache_misses;
+    Ufp_obs.Metrics.incr m_speculative_rebuilds;
+    batch.(k).speculative <- true
+  done;
+  for k = 0 to !n_popped - 1 do
+    let j = popped.(k) in
+    rescore t t.group_of.(j) j
+  done
+
+let select_incremental t =
   let rec loop () =
     match heap_pop t with
     | None -> None
@@ -472,19 +549,13 @@ let select_incremental t =
              Re-push so the request stays a candidate (it is removed
              separately when selection consumes it). *)
           Ufp_obs.Metrics.incr m_cache_hits;
+          grp.speculative <- false;
           heap_push t a i ver;
           Some { request = i; path = path_for t grp i; alpha = a }
         end
         else begin
           Ufp_obs.Metrics.incr m_stale_pops;
-          if not grp.fresh then begin
-            Ufp_obs.Metrics.incr m_cache_misses;
-            rebuild t grp
-          end;
-          let alpha = score t grp i in
-          (* An unroutable request stays unroutable under nondecreasing
-             weights: drop it from the heap entirely. *)
-          if alpha < infinity then heap_push t alpha i grp.version;
+          if grp.fresh then rescore t grp i else refresh t grp i;
           loop ()
         end
       end

@@ -50,19 +50,30 @@
     snapshot is invalidated by the same announcement that invalidates
     the trees, so stale weights can never leak into a rebuild.
 
-    {b Parallel rebuilds.} With [?pool:(`Pool p)], tree rebuilds for
-    distinct groups fan out on the {!Ufp_par.Pool} (each task gets a
-    private Dijkstra workspace; version bumps and edge->dependents
-    registration stay on the calling domain, in group order). Trees
-    are bitwise identical to sequential rebuilds — Dijkstra is a pure
-    function of (CSR view, snapshot, source) — so selections are too;
-    the QCheck laws check all four kind x pool combinations. For
-    [`Naive] the pooled run performs {e exactly} the rebuilds the
-    sequential run would. For [`Incremental] every stale live tree is
-    refreshed eagerly before the heap is consulted, which may rebuild
-    trees the lazy sequential path skips: [selector.tree_rebuilds] is
-    cache economics and may differ from [`Seq]; the selection trace
-    does not. Pooled rebuilds are counted by [selector.par_rebuilds]. *)
+    {b Parallel rebuilds.} With [?pool:(`Pool p)], the candidate heap
+    drives batches of tree rebuilds. When [`Incremental] selection
+    pops a stale entry whose group's tree is stale, it keeps popping
+    stale entries until it holds up to [Pool.size p] distinct stale
+    groups (stopping early at an empty heap or at a top entry that is
+    fresh and current), rebuilds them together on the {!Ufp_par.Pool}
+    (each task with a private Dijkstra workspace; version bumps and
+    edge->dependents registration stay on the calling domain, in pop
+    order), re-scores every popped entry and pushes it back. Under
+    [`Seq] the batch is the one group the pop needs, rebuilt inline:
+    the lazy sequential loop. Every rebuild of one {!select} sees the
+    same weight epoch and Dijkstra is a pure function of (CSR view,
+    snapshot, source), so each re-scored key is the entry's current
+    score — still a lower bound on its later ones — and the selection
+    trace is the sequential one; the QCheck laws check every kind x
+    pool combination on pools of 2 and 3 domains. For [`Naive] the
+    pooled run performs {e exactly} the rebuilds the sequential run
+    would. For [`Incremental], [selector.tree_rebuilds] may exceed
+    the [`Seq] count: [selector.speculative_rebuilds] counts batch
+    members beyond the group the triggering pop needed, and
+    [selector.wasted_rebuilds] the speculative trees a dual update
+    invalidated before any selection used them. Batched rebuilds are
+    counted by [selector.par_rebuilds]. With [`Delta] the pool works
+    inside each tree instead, and batches hold one group. *)
 
 type kind = [ `Naive | `Incremental ]
 
@@ -102,7 +113,7 @@ val create :
   t
 (** A selector over all requests of the instance, all initially
     pending. [kind] defaults to [`Incremental]; [pool] (default
-    [`Seq]) fans stale-tree rebuilds out across domains, with
+    [`Seq]) batches stale-tree rebuilds across domains, with
     bitwise-identical trees (see the module preamble); [sssp]
     (default [`Dijkstra]) picks the tree kernel. The weight
     functions are read lazily at (re)computation time — materialised

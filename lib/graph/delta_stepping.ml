@@ -74,9 +74,14 @@ let buf_push b v d e =
 
 type workspace = {
   dn : int;
-  (* Cyclic bucket array (lazy deletion: stale entries are filtered
-     against the live tentative distance at take time). *)
+  (* Cyclic bucket array (lazy deletion: an entry is live iff it is
+     its vertex's latest insert, i.e. [bkt.(v)] names the bucket being
+     taken). *)
   mutable slots : vec array;
+  (* Global bucket index of each vertex's latest insert, -1 when it
+     has none outstanding (never inserted, or already taken).  Sized
+     on first use, like [slots], so an idle workspace stays small. *)
+  mutable bkt : int array;
   (* The bucket being settled: its accumulated vertex set [r] (heavy
      phase input, deduplicated through [in_r]) and the current light
      frontier [s]. *)
@@ -97,6 +102,7 @@ let create_workspace g =
   {
     dn = n;
     slots = [||];
+    bkt = [||];
     r = vec_make ();
     s = vec_make ();
     in_r = Array.make (max n 1) false;
@@ -250,9 +256,20 @@ let shortest_tree_snapshot_into ?(pool = `Seq) ?delta ?view ws g ~snapshot ~src
     !found
   in
   let slots = ws.slots in
+  if Array.length ws.bkt < n then ws.bkt <- Array.make n (-1)
+  else Array.fill ws.bkt 0 n (-1);
+  let bkt = ws.bkt in
   let queued = ref 0 in
+  (* Lowest bucket an insert may target: the bucket being drained
+     during its light loop, the next one during its heavy phase.  A
+     candidate whose [d /. delta] rounds below the floor (a heavy
+     relaxation landing in the bucket just drained, or a light one off
+     a vertex that was itself clamped upward) is clamped to the floor
+     rather than queued in a slot that is never taken again. *)
+  let min_bucket = ref 0 in
   let bucket_insert v d =
-    let idx = int_of_float (d /. delta) in
+    let idx = Int.max !min_bucket (int_of_float (d /. delta)) in
+    Array.unsafe_set bkt v idx;
     vec_push slots.(idx mod w_slots) v;
     incr queued
   in
@@ -366,18 +383,20 @@ let shortest_tree_snapshot_into ?(pool = `Seq) ?delta ?view ws g ~snapshot ~src
     (* Inner light-edge loop: re-take the slot until it stops refilling
        (zero- and small-weight edges can re-insert into the current
        bucket). *)
+    min_bucket := !cur;
     let continue_inner = ref true in
     while !continue_inner do
       vec_clear ws.s;
       queued := !queued - slot.len;
-      let lo = float_of_int !cur *. delta in
-      let hi = float_of_int (!cur + 1) *. delta in
       for i = 0 to slot.len - 1 do
         let v = Array.unsafe_get slot.data i in
-        let d = Array.unsafe_get dist v in
-        (* Live entries only: stale ones were settled by an earlier
-           bucket (or re-bucketed) and get dropped here. *)
-        if d >= lo && d < hi then begin
+        (* Live entries only: a vertex re-bucketed since this entry was
+           queued (or already taken from this bucket) is dropped here.
+           Liveness reads the recorded bucket index, never the
+           distance: recomputing a bucket from [d] can disagree with
+           the insert's rounding at d = fl(k * delta). *)
+        if Int.equal (Array.unsafe_get bkt v) !cur then begin
+          Array.unsafe_set bkt v (-1);
           vec_push ws.s v;
           if not ws.in_r.(v) then begin
             ws.in_r.(v) <- true;
@@ -389,6 +408,7 @@ let shortest_tree_snapshot_into ?(pool = `Seq) ?delta ?view ws g ~snapshot ~src
       if ws.s.len = 0 || not any_light then continue_inner := false
       else relax_phase ws.s ~light:true
     done;
+    min_bucket := !cur + 1;
     relax_phase ws.r ~light:false;
     for i = 0 to ws.r.len - 1 do
       ws.in_r.(ws.r.data.(i)) <- false

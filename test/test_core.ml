@@ -676,6 +676,59 @@ let test_selector_kinds_agree_on_threshold_pd () =
       true (naive = incr)
   done
 
+(* Pooled incremental rebuilds follow the candidate heap: a batch
+   holds the group the triggering pop needs plus at most Pool.size - 1
+   stale groups the heap reaches next. The pooled solve is held to at
+   most Pool.size times the trees of a `Seq solve, which catches a
+   return to refreshing every stale tree before each selection (22x
+   the `Seq rebuilds on the 20x20 grid). Speculative batch members are
+   counted, and a speculative tree invalidated before use counts as
+   wasted too; a `Seq run has neither. *)
+let rebuild_economics ~pool inst =
+  Ufp_obs.Metrics.reset ();
+  let run = Bounded_ufp.run ~eps:0.3 ~pool inst in
+  let count name = Ufp_obs.Metrics.value (Ufp_obs.Metrics.counter name) in
+  ( run.Bounded_ufp.solution,
+    count "selector.tree_rebuilds",
+    count "selector.speculative_rebuilds",
+    count "selector.wasted_rebuilds" )
+
+let check_rebuild_economics label inst =
+  let seq_sol, seq_rebuilds, seq_spec, seq_wasted =
+    rebuild_economics ~pool:`Seq inst
+  in
+  Alcotest.(check int) (label ^ ": no speculation under `Seq") 0 seq_spec;
+  Alcotest.(check int) (label ^ ": no waste under `Seq") 0 seq_wasted;
+  List.iter
+    (fun domains ->
+      Ufp_par.Pool.with_pool ~domains (fun pool ->
+          let size =
+            match pool with `Pool p -> Ufp_par.Pool.size p | `Seq -> 1
+          in
+          let sol, rebuilds, spec, wasted = rebuild_economics ~pool inst in
+          let label = Printf.sprintf "%s, %d domains" label size in
+          Alcotest.(check bool) (label ^ ": same solution") true (sol = seq_sol);
+          if rebuilds > size * seq_rebuilds then
+            Alcotest.failf "%s: %d rebuilds, `Seq needed %d" label rebuilds
+              seq_rebuilds;
+          if wasted > spec then
+            Alcotest.failf "%s: %d wasted > %d speculative rebuilds" label
+              wasted spec))
+    [ 2; 3 ]
+
+let test_selector_pooled_rebuilds_stay_lazy () =
+  check_rebuild_economics "20x20 grid"
+    (Instance.normalize
+       (grid_instance ~rows:20 ~cols:20 ~capacity:80.0 ~count:150 1));
+  let rng = Rng.create 5 in
+  let g =
+    Gen.rmat rng ~scale:10 ~edge_factor:8 ~capacity_lo:140.0
+      ~capacity_hi:210.0 ()
+  in
+  check_rebuild_economics "hub RMAT"
+    (Instance.normalize
+       (Instance.create g (Workloads.hub_requests rng g ~count:30 ())))
+
 (* --- Audit --- *)
 
 module Audit = Ufp_core.Audit
@@ -933,6 +986,8 @@ let () =
             test_selector_kinds_agree_on_bounded_ufp;
           Alcotest.test_case "kinds agree on threshold-PD" `Quick
             test_selector_kinds_agree_on_threshold_pd;
+          Alcotest.test_case "pooled rebuilds stay lazy" `Quick
+            test_selector_pooled_rebuilds_stay_lazy;
         ] );
       ( "audit",
         [

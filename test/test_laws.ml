@@ -262,34 +262,53 @@ let qcheck_gk_upper_bound_improves =
       let _, fine = Mcf.fractional_opt_interval ~eps:0.1 inst in
       fine <= coarse +. Float_tol.loose_check_eps)
 
+(* A ring: every source's shortest-path tree spans nearly the whole
+   cycle, so each dual update invalidates nearly every cached tree at
+   once, and a pooled selection batches as many stale groups as the
+   pool is wide. *)
+let ring_instance ~n ~capacity ~count seed =
+  let rng = Rng.create seed in
+  let g = Gen.ring ~n ~capacity in
+  Instance.create g (Workloads.random_requests rng g ~count ())
+
+(* The kind x pool combinations every selector law compares against
+   the `Naive, `Seq reference, for pools of 2 and 3 domains (a pooled
+   incremental selection rebuilds up to pool-size groups per batch). *)
+let for_all_selector_configs f =
+  List.for_all
+    (fun domains ->
+      Ufp_par.Pool.with_pool ~domains (fun pool ->
+          List.for_all f
+            [ (`Naive, pool); (`Incremental, `Seq); (`Incremental, pool) ]))
+    [ 2; 3 ]
+
 (* --- Law 11: selection-engine equivalence (the Selector contract).
 
    The incremental selector (cached Dijkstra trees + lazy-deletion
    candidate heap) must reproduce the naive recompute-everything
    selection byte for byte: same request, same path, same alpha, in
-   every iteration — and pooled stale-tree rebuilds (`Pool) must not
-   move a single decision either. Full structural equality of the
-   traces across all four kind x pool combinations — not just the
-   winner sets — so a divergence in tie-breaking, invalidation, or
-   parallel scheduling shows up immediately. *)
+   every iteration — and pooled rebuilds (`Pool, where the candidate
+   heap drives batches of speculative rebuilds) must not move a single
+   decision either. Full structural equality of the traces across the
+   kind x pool combinations — not just the winner sets — so a
+   divergence in tie-breaking, invalidation, or parallel scheduling
+   shows up immediately. *)
 let qcheck_selector_trace_equivalence =
   QCheck.Test.make ~name:"naive and incremental selectors yield identical traces"
     ~count:40
     QCheck.(pair small_int (int_range 5 25))
     (fun (seed, count) ->
-      let inst = grid_instance ~rows:4 ~cols:4 ~capacity:20.0 ~count (seed + 17) in
-      let reference = Bounded_ufp.run ~eps:0.3 ~selector:`Naive inst in
-      Ufp_par.Pool.with_pool ~domains:2 (fun pool ->
-          List.for_all
-            (fun (selector, pool) ->
+      List.for_all
+        (fun inst ->
+          let reference = Bounded_ufp.run ~eps:0.3 ~selector:`Naive inst in
+          for_all_selector_configs (fun (selector, pool) ->
               let run = Bounded_ufp.run ~eps:0.3 ~selector ~pool inst in
               run.Bounded_ufp.trace = reference.Bounded_ufp.trace
-              && run.Bounded_ufp.final_y = reference.Bounded_ufp.final_y)
-            [
-              (`Naive, pool);
-              (`Incremental, `Seq);
-              (`Incremental, pool);
-            ]))
+              && run.Bounded_ufp.final_y = reference.Bounded_ufp.final_y))
+        [
+          grid_instance ~rows:4 ~cols:4 ~capacity:20.0 ~count (seed + 17);
+          ring_instance ~n:12 ~capacity:20.0 ~count (seed + 17);
+        ])
 
 (* --- Law 12: the same equivalence across the Pd_engine design space,
    including the residual-filtered (Per_demand weights) threshold rule
@@ -298,27 +317,25 @@ let qcheck_selector_engine_equivalence =
   QCheck.Test.make
     ~name:"selector engines agree across the Pd_engine design space" ~count:20
     QCheck.small_int (fun seed ->
-      let inst = grid_instance ~capacity:12.0 ~count:10 (seed + 41) in
-      let b = Graph.min_capacity (Instance.graph inst) in
-      Ufp_par.Pool.with_pool ~domains:2 (fun pool ->
+      List.for_all
+        (fun inst ->
+          let b = Graph.min_capacity (Instance.graph inst) in
           List.for_all
             (fun config ->
               let reference = Pd_engine.execute ~selector:`Naive config inst in
-              List.for_all
-                (fun (selector, pool) ->
+              for_all_selector_configs (fun (selector, pool) ->
                   let run = Pd_engine.execute ~selector ~pool config inst in
                   run.Pd_engine.solution = reference.Pd_engine.solution
-                  && run.Pd_engine.final_y = reference.Pd_engine.final_y)
-                [
-                  (`Naive, pool);
-                  (`Incremental, `Seq);
-                  (`Incremental, pool);
-                ])
+                  && run.Pd_engine.final_y = reference.Pd_engine.final_y))
             [
               Pd_engine.algorithm_1 ~eps:0.3 ~b;
               Pd_engine.algorithm_3 ~eps:0.3 ~b;
               Pd_engine.threshold_rule ~eps:0.3 ~b;
-            ]))
+            ])
+        [
+          grid_instance ~capacity:12.0 ~count:10 (seed + 41);
+          ring_instance ~n:10 ~capacity:12.0 ~count:10 (seed + 41);
+        ])
 
 let () =
   Alcotest.run "laws"

@@ -12,7 +12,13 @@
        counters and differ only in selector cache/heap accounting; for
        the naive engine even the rebuild/snapshot counts must match
        between `Seq and `Pool (pooling it is scheduling-only), with
-       selector.par_rebuilds accounting exactly the pooled share. *)
+       selector.par_rebuilds accounting exactly the pooled share.  The
+       pooled incremental engine rebuilds lazily in heap-driven
+       batches: beyond the tree the next pop needs it may rebuild up
+       to pool-size - 1 further stale trees the heap reaches next
+       (selector.speculative_rebuilds), some of which a dual update
+       invalidates before use (selector.wasted_rebuilds, never more
+       than the speculative count); a `Seq run has neither. *)
 
 module Metrics = Ufp_obs.Metrics
 module Trace = Ufp_obs.Trace
@@ -475,7 +481,9 @@ let test_metrics_deterministic () =
 
 (* pd.* is decided by the algorithm; selector.* is cache economics and
    legitimately differs between engines (dijkstra.* differs too: the
-   naive engine recomputes trees it could have cached). *)
+   naive engine recomputes trees it could have cached), and between
+   `Seq and `Pool for the incremental engine, whose pooled batches
+   rebuild some trees speculatively. *)
 let algorithm_level name =
   String.length name >= 3 && String.sub name 0 3 = "pd."
 
@@ -558,6 +566,23 @@ let engine_agreement_law =
           then
             QCheck.Test.fail_report
               "pooled naive rebuild not fully accounted as par_rebuilds";
+          (* Speculation only exists in pooled incremental batches, and
+             a tree can only be wasted after it was speculated. *)
+          let spec s = counter "selector.speculative_rebuilds" s
+          and wasted s = counter "selector.wasted_rebuilds" s in
+          List.iter
+            (fun (label, s) ->
+              if spec s <> 0 || wasted s <> 0 then
+                QCheck.Test.fail_reportf "%s run speculated" label)
+            [
+              ("naive/seq", s_naive);
+              ("incremental/seq", s_incr);
+              ("naive/pool", s_naive_p);
+            ];
+          if wasted s_incr_p > spec s_incr_p then
+            QCheck.Test.fail_report "more wasted than speculative rebuilds";
+          if spec s_incr_p >= max 1 (counter "selector.tree_rebuilds" s_incr_p)
+          then QCheck.Test.fail_report "every pooled rebuild was speculative";
           true))
 
 let () =
