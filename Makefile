@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test lint bench bench-quick bench-json bench-diff bench-trajectory examples doc clean trace-demo par-demo profile-demo rmat-demo
+.PHONY: all build test lint bench bench-quick bench-csv bench-json bench-diff bench-trajectory examples doc clean trace-demo par-demo profile-demo rmat-demo
 
 all: build
 
@@ -70,7 +70,8 @@ bench-json:
 	dune exec bench/main.exe -- --json-pr10 BENCH_PR10.json
 
 # Perf-trajectory regression gate (see docs/OBSERVABILITY.md): rerun
-# the PR 8/PR 9 rows and diff against the committed trajectories.
+# the PR 8, PR 9 and PR 10 rows and diff against the committed
+# trajectories.
 # Exits non-zero past the threshold; loosen it for noisy hosts.  The
 # PR 9 rows are deterministic cost-model units and probe counts, so
 # they bear a much tighter threshold than the wall-clock rows.

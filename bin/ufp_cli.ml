@@ -258,25 +258,13 @@ let jobs_arg =
            runtime's recommended domain count. Results are bitwise \
            identical at any job count. Defaults to \\$UFP_JOBS when set.")
 
-let sssp_arg =
-  Arg.(
-    value
-    & opt (enum [ ("dijkstra", `Dijkstra); ("delta", `Delta) ]) `Dijkstra
-    & info [ "sssp" ] ~docv:"KERNEL"
-        ~doc:
-          "Shortest-path-tree kernel for selector rebuilds: \
-           $(b,dijkstra) (sequential binary heap, the default) or \
-           $(b,delta) (bucketed delta-stepping, which parallelises \
-           $(i,inside) each tree over the $(b,--jobs) pool instead of \
-           across trees). The two produce byte-identical solutions.")
-
-let pick_algo name eps seed pool sssp =
+let pick_algo name eps seed pool =
   match name with
-  | "bounded-ufp" -> fun inst -> Bounded_ufp.solve ~eps ~pool ~sssp inst
-  | "repeat" -> fun inst -> Repeat.solve ~eps ~pool ~sssp inst
+  | "bounded-ufp" -> fun inst -> Bounded_ufp.solve ~eps ~pool inst
+  | "repeat" -> fun inst -> Repeat.solve ~eps ~pool inst
   | "greedy-density" -> Baselines.greedy_by_density
   | "greedy-value" -> Baselines.greedy_by_value
-  | "threshold-pd" -> fun inst -> Baselines.threshold_pd ~eps ~pool ~sssp inst
+  | "threshold-pd" -> fun inst -> Baselines.threshold_pd ~eps ~pool inst
   | "rounding" -> Baselines.randomized_rounding ~eps:(Float.min eps 0.5) ~seed
   | "exact" -> (fun inst -> Exact.solve inst)
   | other ->
@@ -295,16 +283,24 @@ let warn_premise inst ~eps =
       (Instance.bound inst)
       (log (float_of_int (Graph.n_edges (Instance.graph inst))) /. (eps *. eps))
 
-let solve path algo_name eps seed jobs sssp verbose audit out metrics
-    metrics_out trace profile =
+let solve path algo_name eps seed jobs verbose audit out metrics metrics_out
+    trace profile =
   let inst = Instance.normalize (load_instance path) in
   warn_premise inst ~eps;
   Pool.with_jobs jobs @@ fun pool ->
-  let algo = pick_algo algo_name eps seed pool sssp in
-  let sol, elapsed =
+  let algo = pick_algo algo_name eps seed pool in
+  (* Bounded-UFP keeps its whole run: the certified bound and the audit
+     read the same execution that was timed. *)
+  let run_algo () =
+    if algo_name = "bounded-ufp" then
+      let run = Bounded_ufp.run ~eps ~pool inst in
+      (run.Bounded_ufp.solution, Some run)
+    else (algo inst, None)
+  in
+  let (sol, run), elapsed =
     try
       with_observability ~metrics ~metrics_out ~trace ~profile (fun () ->
-          Ufp_experiments.Harness.time_it (fun () -> algo inst))
+          Ufp_experiments.Harness.time_it run_algo)
     with Exact.Too_large msg ->
       Printf.eprintf "error: instance too large for the exact solver: %s\n" msg;
       exit 1
@@ -320,21 +316,16 @@ let solve path algo_name eps seed jobs sssp verbose audit out metrics
   Printf.printf "value     : %.6g\n" value;
   Printf.printf "feasible  : %b\n" (Solution.is_feasible ~repetitions inst sol);
   Printf.printf "time      : %.3fs\n" elapsed;
-  if algo_name = "bounded-ufp" then begin
-    let run = Bounded_ufp.run ~eps ~pool ~sssp inst in
+  (match run with
+  | Some run ->
     Printf.printf "certified OPT upper bound: %.6g (ratio <= %.4f)\n"
       run.Bounded_ufp.certified_upper_bound
       (if value > 0.0 then run.Bounded_ufp.certified_upper_bound /. value
-       else infinity)
-  end;
-  if audit then begin
-    if algo_name <> "bounded-ufp" then
-      Printf.printf "note: --audit applies to bounded-ufp only\n"
-    else begin
-      let run = Bounded_ufp.run ~eps ~pool ~sssp inst in
+       else infinity);
+    if audit then
       Format.printf "%a" Ufp_core.Audit.pp (Ufp_core.Audit.bounded_ufp_run inst run)
-    end
-  end;
+  | None ->
+    if audit then Printf.printf "note: --audit applies to bounded-ufp only\n");
   (match out with
   | Some out_path ->
     Io.save_solution out_path sol;
@@ -354,6 +345,20 @@ let algo_arg =
 let eps_arg =
   Arg.(value & opt float 0.3 & info [ "eps"; "e" ] ~doc:"Accuracy parameter.")
 
+(* The primal-dual algorithms' accuracy parameter lives in (0, 1]: an
+   out-of-range value is a usage error, caught before any work. *)
+let pd_eps_arg =
+  let parse s =
+    match float_of_string_opt s with
+    | Some e when e > 0.0 && e <= 1.0 -> Ok e
+    | Some _ -> Error (`Msg (Printf.sprintf "%s is not in (0, 1]" s))
+    | None -> Error (`Msg (Printf.sprintf "%S is not a number" s))
+  in
+  Arg.(
+    value
+    & opt (conv (parse, Format.pp_print_float)) 0.3
+    & info [ "eps"; "e" ] ~doc:"Accuracy parameter, in (0, 1].")
+
 let verbose_arg =
   Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print the allocation paths.")
 
@@ -366,8 +371,8 @@ let solve_cmd =
   let doc = "solve a UFP instance" in
   Cmd.v (Cmd.info "solve" ~doc)
     Term.(
-      const solve $ file_arg $ algo_arg $ eps_arg $ seed_arg $ jobs_arg
-      $ sssp_arg $ verbose_arg $ audit_arg $ out_arg $ metrics_arg
+      const solve $ file_arg $ algo_arg $ pd_eps_arg $ seed_arg $ jobs_arg
+      $ verbose_arg $ audit_arg $ out_arg $ metrics_arg
       $ metrics_out_arg $ trace_arg $ profile_arg)
 
 (* --- payments --- *)
@@ -417,7 +422,7 @@ let payments_cmd =
   let doc = "run the truthful mechanism and print critical-value payments" in
   Cmd.v (Cmd.info "payments" ~doc)
     Term.(
-      const payments $ file_arg $ eps_arg $ jobs_arg $ metrics_arg
+      const payments $ file_arg $ pd_eps_arg $ jobs_arg $ metrics_arg
       $ metrics_out_arg $ trace_arg $ profile_arg)
 
 (* --- lp --- *)
@@ -477,7 +482,7 @@ let export_dot path algo_name eps seed out =
     match algo_name with
     | None -> Ufp_instance.Dot.instance inst
     | Some name ->
-      let sol = pick_algo name eps seed `Seq `Dijkstra inst in
+      let sol = pick_algo name eps seed `Seq inst in
       Ufp_instance.Dot.solution inst sol
   in
   (match out with

@@ -60,8 +60,7 @@ let greedy_by_value inst =
   let by_value a b = Float.compare b.Request.value a.Request.value in
   route_in_order inst (sorted_indices inst by_value)
 
-let threshold_pd ?(eps = 0.1) ?(selector = `Incremental) ?(pool = `Seq) ?sssp
-    inst =
+let threshold_pd ?(eps = 0.1) ?(selector = `Incremental) ?(pool = `Seq) inst =
   if not (eps > 0.0 && eps <= 1.0) then
     invalid_arg "Baselines.threshold_pd: eps must be in (0, 1]";
   if not (Instance.is_normalized inst) then
@@ -75,7 +74,7 @@ let threshold_pd ?(eps = 0.1) ?(selector = `Incremental) ?(pool = `Seq) ?sssp
   let y = Array.init m (fun e -> 1.0 /. Graph.capacity g e) in
   let residual = Array.init m (fun e -> Graph.capacity g e) in
   let sel =
-    Selector.create ~kind:selector ~pool ?sssp
+    Selector.create ~kind:selector ~pool
       ~weights:
         (Selector.Per_demand
            (fun ~demand e ->

@@ -30,7 +30,6 @@ val threshold_pd :
   ?eps:float ->
   ?selector:Selector.kind ->
   ?pool:Ufp_par.Pool.choice ->
-  ?sssp:Selector.sssp ->
   Ufp_instance.Instance.t ->
   Ufp_instance.Solution.t
 (** BKV-style primal-dual: duals start at [1/c_e] and grow by
@@ -40,9 +39,7 @@ val threshold_pd :
     normalised instance with [B >= 1]; [eps] defaults to [0.1].
     [selector] picks the {!Selector} engine (default [`Incremental];
     both engines make identical decisions); [pool] (default [`Seq])
-    fans stale-tree rebuilds out with bitwise-identical decisions;
-    [sssp] (default [`Dijkstra]) picks the tree kernel, also
-    decision-neutral. *)
+    fans stale-tree rebuilds out with bitwise-identical decisions. *)
 
 val randomized_rounding :
   ?eps:float -> seed:int -> Ufp_instance.Instance.t ->

@@ -58,7 +58,7 @@ let validate inst ~eps =
   if b < 1.0 then invalid_arg "Bounded_ufp: requires B = min capacity >= 1";
   b
 
-let run ?(eps = 0.1) ?(selector = `Incremental) ?(pool = `Seq) ?sssp inst =
+let run ?(eps = 0.1) ?(selector = `Incremental) ?(pool = `Seq) inst =
   let b = validate inst ~eps in
   Metrics.incr m_runs;
   Trace.with_span "bounded_ufp.run" @@ fun () ->
@@ -72,7 +72,7 @@ let run ?(eps = 0.1) ?(selector = `Incremental) ?(pool = `Seq) ?sssp inst =
   (* The selection step — the request minimising (d_r / v_r) |p_r|,
      ties towards the lowest request index — is owned by Selector. *)
   let sel =
-    Selector.create ~kind:selector ~pool ?sssp
+    Selector.create ~kind:selector ~pool
       ~weights:(Selector.Uniform (fun e -> y.(e)))
       inst
   in
@@ -165,5 +165,4 @@ let run ?(eps = 0.1) ?(selector = `Incremental) ?(pool = `Seq) ?sssp inst =
     iterations = !iterations;
   }
 
-let solve ?eps ?selector ?pool ?sssp inst =
-  (run ?eps ?selector ?pool ?sssp inst).solution
+let solve ?eps ?selector ?pool inst = (run ?eps ?selector ?pool inst).solution

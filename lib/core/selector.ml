@@ -1,14 +1,11 @@
 module Graph = Ufp_graph.Graph
 module Dijkstra = Ufp_graph.Dijkstra
-module Delta_stepping = Ufp_graph.Delta_stepping
 module Weight_snapshot = Ufp_graph.Weight_snapshot
 module Instance = Ufp_instance.Instance
 module Request = Ufp_instance.Request
 module Pool = Ufp_par.Pool
 
 type kind = [ `Naive | `Incremental ]
-
-type sssp = [ `Dijkstra | `Delta ]
 
 (* Cache-economics accounting (docs/OBSERVABILITY.md): the naive engine
    shows up as pure tree_rebuilds, the incremental one as a mix of
@@ -68,18 +65,12 @@ type t = {
   inst : Instance.t;
   kind : kind;
   pool : Pool.choice;
-  sssp : sssp;
   (* Scratch for one incremental refresh: the stale groups rebuilt
-     together (length = the batch width: the pool size when trees fan
-     out across domains, 1 under `Seq or `Delta, whose pool works
-     inside each tree) and the requests whose heap entries it popped
-     (one under a width of 1, else at most one entry per request). *)
+     together (length = the batch width: the pool size, 1 under `Seq)
+     and the requests whose heap entries it popped (one under a width
+     of 1, else at most one entry per request). *)
   batch : group array;
   popped : int array;
-  (* Scratch for the delta-stepping kernel (allocated eagerly — it is
-     a handful of length-n arrays — so the [`Delta] hot path never
-     branches on an option). *)
-  dws : Delta_stepping.workspace;
   uniform : bool;  (* all groups share one weight function *)
   groups : group array;  (* in order of first appearance by request *)
   group_of : group array;  (* request index -> its group *)
@@ -177,8 +168,7 @@ let heap_pop t =
 
 (* --- construction --- *)
 
-let create ?(kind = `Incremental) ?(pool = `Seq) ?(sssp = `Dijkstra) ~weights
-    inst =
+let create ?(kind = `Incremental) ?(pool = `Seq) ~weights inst =
   let graph = Instance.graph inst in
   let n = Graph.n_vertices graph in
   let m = Graph.n_edges graph in
@@ -233,26 +223,19 @@ let create ?(kind = `Incremental) ?(pool = `Seq) ?(sssp = `Dijkstra) ~weights
     end
   in
   (* Force the CSR build and the layout view on this domain now:
-     pooled rebuilds (and delta-stepping phase workers) must only ever
-     read the frozen view, and the graph.csr_builds /
-     graph.packed_builds counts stay the same whether or not a pool is
-     attached. *)
+     pooled rebuilds must only ever read the frozen view, and the
+     graph.csr_builds / graph.packed_builds counts stay the same
+     whether or not a pool is attached. *)
   ignore (Graph.csr_view graph);
-  let width =
-    match (pool, sssp) with
-    | `Pool p, `Dijkstra -> Pool.size p
-    | `Pool _, `Delta | `Seq, _ -> 1
-  in
+  let width = match pool with `Pool p -> Pool.size p | `Seq -> 1 in
   let t =
     {
       graph;
       inst;
       kind;
       pool;
-      sssp;
       batch = (if n_req = 0 then [||] else Array.make width groups.(0));
       popped = Array.make (if width = 1 then 1 else n_req) 0;
-      dws = Delta_stepping.create_workspace graph;
       uniform = (match weights with Uniform _ -> true | Per_demand _ -> false);
       groups;
       group_of;
@@ -321,18 +304,8 @@ let rebuild_tree t grp ws =
      the rebuild — the tracer is domain-safe. *)
   Ufp_obs.Trace.with_span "selector.rebuild" @@ fun () ->
   let snapshot = snapshot_for t grp in
-  match t.sssp with
-  | `Dijkstra ->
-    Dijkstra.shortest_tree_snapshot_into ws t.graph ~snapshot ~src:grp.src
-      ~dist:grp.dist ~parent_edge:grp.parent_edge
-  | `Delta ->
-    (* The delta kernel is byte-equivalent to Dijkstra (see
-       Ufp_graph.Delta_stepping) and parallelises {e inside} the tree,
-       so it gets the selector's pool directly — it always runs on the
-       submitting domain (never from rebuild_parallel's closures,
-       which would nest pool submissions). *)
-    Delta_stepping.shortest_tree_snapshot_into ~pool:t.pool t.dws t.graph
-      ~snapshot ~src:grp.src ~dist:grp.dist ~parent_edge:grp.parent_edge
+  Dijkstra.shortest_tree_snapshot_into ws t.graph ~snapshot ~src:grp.src
+    ~dist:grp.dist ~parent_edge:grp.parent_edge
 
 let commit_rebuild t grp =
   Ufp_obs.Metrics.incr m_rebuilds;
@@ -350,39 +323,30 @@ let rebuild t grp =
   rebuild_tree t grp t.ws;
   commit_rebuild t grp
 
-(* Rebuild every group in [stale] on the pool, then commit on this
-   domain in array order. The trees are bitwise identical to
-   sequential rebuilds: each Dijkstra writes only its own group's
-   arrays (plus its private workspace) from one snapshot built for
-   this epoch, and Dijkstra itself is a pure function of (CSR,
+(* Rebuild every group in the non-empty [stale] on the pool, then
+   commit on this domain in array order. The trees are bitwise
+   identical to sequential rebuilds: each Dijkstra writes only its own
+   group's arrays (plus its private workspace) from one snapshot built
+   for this epoch, and Dijkstra itself is a pure function of (CSR,
    snapshot, src) — see docs/PARALLELISM.md. That purity obligation
    is also machine-checked: ufp-lint's whole-program phase (R7/R8)
    traces this closure's call graph for shared-state writes and
    domain-unsafe calls. *)
 let rebuild_parallel t p stale =
-  let n = Array.length stale in
-  if n > 0 then begin
-    if t.uniform then ignore (snapshot_for t stale.(0));
-    (match t.sssp with
-    | `Delta ->
-      (* The delta kernel submits its own phase jobs to the pool, and
-         nested submission is illegal (Ufp_par.Pool): groups rebuild
-         sequentially here, each tree parallelised internally. *)
-      Array.iter (fun grp -> rebuild_tree t grp t.ws) stale
-    | `Dijkstra ->
-      (* grain 1: stale-tree costs are skewed (hub sources carry far
-         larger frontiers), so every tree should be stealable on its
-         own rather than riding a range with a hub. *)
-      Pool.parallel_for_dynamic ~pool:(`Pool p) ~grain:1 ~n (fun i ->
-          let grp = stale.(i) in
-          let ws = Dijkstra.create_workspace t.graph in
-          rebuild_tree t grp ws));
-    Array.iter
-      (fun grp ->
-        Ufp_obs.Metrics.incr m_par_rebuilds;
-        commit_rebuild t grp)
-      stale
-  end
+  if t.uniform then ignore (snapshot_for t stale.(0));
+  (* grain 1: stale-tree costs are skewed (hub sources carry far larger
+     frontiers), so every tree should be stealable on its own rather
+     than riding a range with a hub. *)
+  Pool.parallel_for_dynamic ~pool:(`Pool p) ~grain:1 ~n:(Array.length stale)
+    (fun i ->
+      let grp = stale.(i) in
+      let ws = Dijkstra.create_workspace t.graph in
+      rebuild_tree t grp ws);
+  Array.iter
+    (fun grp ->
+      Ufp_obs.Metrics.incr m_par_rebuilds;
+      commit_rebuild t grp)
+    stale
 
 let update_path t path =
   t.epoch <- t.epoch + 1;
@@ -433,20 +397,10 @@ let path_for t grp i =
 
 (* Recompute every group with a pending member, scan every pending
    request — the reference implementation the incremental selector is
-   proven (and property-tested) equivalent to. With a pool, the same
-   set of rebuilds runs fanned out (scheduling changes, counts and
-   trees do not). *)
+   proven (and property-tested) equivalent to. Always sequential: the
+   pool only batches the incremental engine's rebuilds. *)
 let select_naive t =
-  (match t.pool with
-  | `Seq -> Array.iter (fun grp -> if grp.members <> [] then rebuild t grp) t.groups
-  | `Pool p ->
-    let live =
-      Array.of_list
-        (List.filter
-           (fun grp -> grp.members <> [])
-           (Array.to_list t.groups))
-    in
-    rebuild_parallel t p live);
+  Array.iter (fun grp -> if grp.members <> [] then rebuild t grp) t.groups;
   let best = ref None in
   Array.iter
     (fun grp ->

@@ -64,29 +64,17 @@
     same weight epoch and Dijkstra is a pure function of (CSR view,
     snapshot, source), so each re-scored key is the entry's current
     score — still a lower bound on its later ones — and the selection
-    trace is the sequential one; the QCheck laws check every kind x
-    pool combination on pools of 2 and 3 domains. For [`Naive] the
-    pooled run performs {e exactly} the rebuilds the sequential run
-    would. For [`Incremental], [selector.tree_rebuilds] may exceed
-    the [`Seq] count: [selector.speculative_rebuilds] counts batch
-    members beyond the group the triggering pop needed, and
-    [selector.wasted_rebuilds] the speculative trees a dual update
-    invalidated before any selection used them. Batched rebuilds are
-    counted by [selector.par_rebuilds]. With [`Delta] the pool works
-    inside each tree instead, and batches hold one group. *)
+    trace is the sequential one; the QCheck laws check the pooled
+    engine against the sequential [`Naive] reference on pools of 2 and
+    3 domains. [selector.tree_rebuilds] may exceed the [`Seq] count:
+    [selector.speculative_rebuilds] counts batch members beyond the
+    group the triggering pop needed, and [selector.wasted_rebuilds]
+    the speculative trees a dual update invalidated before any
+    selection used them. Batched rebuilds are counted by
+    [selector.par_rebuilds]. [`Naive] ignores the pool: it is the
+    sequential reference. *)
 
 type kind = [ `Naive | `Incremental ]
-
-type sssp = [ `Dijkstra | `Delta ]
-(** Which shortest-path-tree kernel rebuilds use: the sequential
-    binary-heap {!Ufp_graph.Dijkstra} (default) or the bucketed
-    {!Ufp_graph.Delta_stepping}, which parallelises {e inside} each
-    tree. The two return byte-identical trees (a QCheck law), so the
-    selection trace — and everything the truthfulness argument rests
-    on — is independent of the choice. With [`Delta] and a pool,
-    groups rebuild sequentially and the pool accelerates each kernel's
-    relaxation phases instead (nested pool submission is illegal);
-    with [`Dijkstra] the pool fans distinct groups out as before. *)
 
 type weights =
   | Uniform of (int -> float)
@@ -107,15 +95,14 @@ type t
 val create :
   ?kind:kind ->
   ?pool:Ufp_par.Pool.choice ->
-  ?sssp:sssp ->
   weights:weights ->
   Ufp_instance.Instance.t ->
   t
 (** A selector over all requests of the instance, all initially
     pending. [kind] defaults to [`Incremental]; [pool] (default
-    [`Seq]) batches stale-tree rebuilds across domains, with
-    bitwise-identical trees (see the module preamble); [sssp]
-    (default [`Dijkstra]) picks the tree kernel. The weight
+    [`Seq]) batches the incremental engine's stale-tree rebuilds
+    across domains, with bitwise-identical trees (see the module
+    preamble); [`Naive] always rebuilds inline. The weight
     functions are read lazily at (re)computation time — materialised
     into a {!Ufp_graph.Weight_snapshot} once per weight epoch — so
     passing closures over the solver's mutable dual array is the

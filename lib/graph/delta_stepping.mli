@@ -1,6 +1,8 @@
 (** Bucketed delta-stepping single-source shortest paths (Meyer &
-    Sanders), the parallel alternative to {!Dijkstra} for the
-    primal-dual solvers' per-request tree rebuilds.
+    Sanders), a parallel alternative to {!Dijkstra}. The solvers do
+    not use it (it never beat sequential Dijkstra end to end); it is
+    kept for the per-layer benchmark replay, which times it against
+    Dijkstra tree by tree.
 
     Tentative distances are kept in an array of buckets of width
     [delta]; each round settles the lowest nonempty bucket by repeated
@@ -33,10 +35,7 @@
 
     {b Pool discipline.} The kernel submits phases to the pool itself,
     so callers must not invoke it from inside another pool job (nested
-    submission raises — see {!Ufp_par.Pool}). {!Ufp_core.Selector}
-    therefore rebuilds groups sequentially when this kernel is
-    selected, parallelising inside each tree instead of across
-    trees. *)
+    submission raises — see {!Ufp_par.Pool}). *)
 
 type workspace
 (** Reusable scratch state (bucket slots, frontier sets, per-chunk

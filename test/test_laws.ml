@@ -271,15 +271,14 @@ let ring_instance ~n ~capacity ~count seed =
   let g = Gen.ring ~n ~capacity in
   Instance.create g (Workloads.random_requests rng g ~count ())
 
-(* The kind x pool combinations every selector law compares against
-   the `Naive, `Seq reference, for pools of 2 and 3 domains (a pooled
-   incremental selection rebuilds up to pool-size groups per batch). *)
-let for_all_selector_configs f =
+(* The pool modes every selector law runs the incremental engine
+   under, against the `Naive, `Seq reference, for pools of 2 and 3
+   domains (a pooled incremental selection rebuilds up to pool-size
+   groups per batch). *)
+let for_all_pools f =
   List.for_all
     (fun domains ->
-      Ufp_par.Pool.with_pool ~domains (fun pool ->
-          List.for_all f
-            [ (`Naive, pool); (`Incremental, `Seq); (`Incremental, pool) ]))
+      Ufp_par.Pool.with_pool ~domains (fun pool -> List.for_all f [ `Seq; pool ]))
     [ 2; 3 ]
 
 (* --- Law 11: selection-engine equivalence (the Selector contract).
@@ -290,7 +289,7 @@ let for_all_selector_configs f =
    every iteration — and pooled rebuilds (`Pool, where the candidate
    heap drives batches of speculative rebuilds) must not move a single
    decision either. Full structural equality of the traces across the
-   kind x pool combinations — not just the winner sets — so a
+   pool modes — not just the winner sets — so a
    divergence in tie-breaking, invalidation, or parallel scheduling
    shows up immediately. *)
 let qcheck_selector_trace_equivalence =
@@ -301,8 +300,8 @@ let qcheck_selector_trace_equivalence =
       List.for_all
         (fun inst ->
           let reference = Bounded_ufp.run ~eps:0.3 ~selector:`Naive inst in
-          for_all_selector_configs (fun (selector, pool) ->
-              let run = Bounded_ufp.run ~eps:0.3 ~selector ~pool inst in
+          for_all_pools (fun pool ->
+              let run = Bounded_ufp.run ~eps:0.3 ~pool inst in
               run.Bounded_ufp.trace = reference.Bounded_ufp.trace
               && run.Bounded_ufp.final_y = reference.Bounded_ufp.final_y))
         [
@@ -312,7 +311,7 @@ let qcheck_selector_trace_equivalence =
 
 (* --- Law 12: the same equivalence across the Pd_engine design space,
    including the residual-filtered (Per_demand weights) threshold rule
-   and the with-repetitions pool — again over kind x pool. *)
+   and the with-repetitions pool — again over every pool mode. *)
 let qcheck_selector_engine_equivalence =
   QCheck.Test.make
     ~name:"selector engines agree across the Pd_engine design space" ~count:20
@@ -323,8 +322,8 @@ let qcheck_selector_engine_equivalence =
           List.for_all
             (fun config ->
               let reference = Pd_engine.execute ~selector:`Naive config inst in
-              for_all_selector_configs (fun (selector, pool) ->
-                  let run = Pd_engine.execute ~selector ~pool config inst in
+              for_all_pools (fun pool ->
+                  let run = Pd_engine.execute ~pool config inst in
                   run.Pd_engine.solution = reference.Pd_engine.solution
                   && run.Pd_engine.final_y = reference.Pd_engine.final_y))
             [

@@ -7,18 +7,17 @@
    Laws (ISSUE 3):
      - determinism: two runs of Pd_engine.execute on the same instance
        produce structurally equal metric snapshots;
-     - engine invariance (QCheck): `Naive and `Incremental runs, on
-       `Seq and on a `Pool, agree exactly on the algorithm-level pd.*
-       counters and differ only in selector cache/heap accounting; for
-       the naive engine even the rebuild/snapshot counts must match
-       between `Seq and `Pool (pooling it is scheduling-only), with
-       selector.par_rebuilds accounting exactly the pooled share.  The
-       pooled incremental engine rebuilds lazily in heap-driven
-       batches: beyond the tree the next pop needs it may rebuild up
-       to pool-size - 1 further stale trees the heap reaches next
-       (selector.speculative_rebuilds), some of which a dual update
-       invalidates before use (selector.wasted_rebuilds, never more
-       than the speculative count); a `Seq run has neither. *)
+     - engine invariance (QCheck): the sequential `Naive reference
+       and `Incremental runs on `Seq and on a `Pool agree exactly on
+       the algorithm-level pd.* counters and differ only in selector
+       cache/heap accounting; a `Seq run counts no
+       selector.par_rebuilds.  The pooled incremental engine rebuilds
+       lazily in heap-driven batches: beyond the tree the next pop
+       needs it may rebuild up to pool-size - 1 further stale trees
+       the heap reaches next (selector.speculative_rebuilds), some of
+       which a dual update invalidates before use
+       (selector.wasted_rebuilds, never more than the speculative
+       count); a `Seq run has neither. *)
 
 module Metrics = Ufp_obs.Metrics
 module Trace = Ufp_obs.Trace
@@ -506,9 +505,6 @@ let engine_agreement_law =
           let s_incr, r_incr =
             snapshot_of_run ~selector:`Incremental config inst
           in
-          let s_naive_p, r_naive_p =
-            snapshot_of_run ~selector:`Naive ~pool config inst
-          in
           let s_incr_p, r_incr_p =
             snapshot_of_run ~selector:`Incremental ~pool config inst
           in
@@ -529,43 +525,21 @@ let engine_agreement_law =
               then QCheck.Test.fail_reportf "pd.path_edges differs (%s)" label)
             [
               ("incremental/seq", s_incr, r_incr);
-              ("naive/pool", s_naive_p, r_naive_p);
               ("incremental/pool", s_incr_p, r_incr_p);
             ];
           (* And the counters that SHOULD differ do: the naive engine never
-             touches the candidate heap, pooled or not. *)
+             touches the candidate heap. *)
           let heap s = counter "selector.heap_pops" s in
-          if heap s_naive <> 0 || heap s_naive_p <> 0 then
+          if heap s_naive <> 0 then
             QCheck.Test.fail_report "naive engine used the candidate heap";
           if r_incr.Pd_engine.iterations > 0 && heap s_incr = 0 then
             QCheck.Test.fail_report "incremental engine bypassed the heap";
-          (* Pooling the naive engine is scheduling-only: it rebuilds the
-             exact same set of trees (and hence builds the same
-             snapshots) as the sequential run, just on worker domains. *)
-          if
-            counter "selector.tree_rebuilds" s_naive_p
-            <> counter "selector.tree_rebuilds" s_naive
-          then
-            QCheck.Test.fail_report
-              "pooled naive rebuilt a different tree set than seq";
-          if
-            counter "dijkstra.snapshot_builds" s_naive_p
-            <> counter "dijkstra.snapshot_builds" s_naive
-          then
-            QCheck.Test.fail_report
-              "pooled naive built a different snapshot count than seq";
-          (* selector.par_rebuilds accounts exactly the pooled rebuilds:
-             zero in `Seq runs, everything in a pooled naive run. *)
+          (* selector.par_rebuilds accounts only pooled rebuilds: zero
+             in `Seq runs. *)
           if
             counter "selector.par_rebuilds" s_naive <> 0
             || counter "selector.par_rebuilds" s_incr <> 0
           then QCheck.Test.fail_report "seq run counted par_rebuilds";
-          if
-            counter "selector.par_rebuilds" s_naive_p
-            <> counter "selector.tree_rebuilds" s_naive_p
-          then
-            QCheck.Test.fail_report
-              "pooled naive rebuild not fully accounted as par_rebuilds";
           (* Speculation only exists in pooled incremental batches, and
              a tree can only be wasted after it was speculated. *)
           let spec s = counter "selector.speculative_rebuilds" s
@@ -577,7 +551,6 @@ let engine_agreement_law =
             [
               ("naive/seq", s_naive);
               ("incremental/seq", s_incr);
-              ("naive/pool", s_naive_p);
             ];
           if wasted s_incr_p > spec s_incr_p then
             QCheck.Test.fail_report "more wasted than speculative rebuilds";
