@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test lint bench bench-quick bench-csv bench-json bench-diff bench-trajectory examples doc clean trace-demo par-demo profile-demo rmat-demo
+.PHONY: all build test lint bench bench-quick bench-csv bench-json bench-diff examples doc clean trace-demo par-demo profile-demo rmat-demo
 
 all: build
 
@@ -50,10 +50,9 @@ bench-quick:
 bench-csv:
 	dune exec bench/main.exe -- --csv results
 
-# Perf artifacts (schemas in EXPERIMENTS.md):
-#   BENCH_PR5.json — list-vs-CSR Dijkstra micros + EXP-SCALE-SELECTOR
-#   BENCH_PR6.json — RMAT TEPS trials (up to scale 18, ~2.6M edges) +
-#                    end-to-end RMAT solves, seq vs 2-domain pool
+# Perf artifacts (self-describing rows; schemas in EXPERIMENTS.md).
+# BENCH_PR5.json and BENCH_PR6.json are frozen history: nothing emits
+# them any more.
 #   BENCH_PR8.json — telemetry hot-path micros + CI-sized end-to-end
 #                    anchors, self-describing rows for ufp-bench-diff
 #   BENCH_PR9.json — work-stealing vs fixed-chunk modelled makespan
@@ -63,8 +62,6 @@ bench-csv:
 #                    Dijkstra on RMAT + packed-vs-wide adjacency
 #                    latency and footprint rows
 bench-json:
-	dune exec bench/main.exe -- --json BENCH_PR5.json
-	dune exec bench/main.exe -- --json-pr6 BENCH_PR6.json
 	dune exec bench/main.exe -- --json-pr8 BENCH_PR8.json
 	dune exec bench/main.exe -- --json-pr9 BENCH_PR9.json
 	dune exec bench/main.exe -- --json-pr10 BENCH_PR10.json
@@ -82,13 +79,6 @@ bench-diff:
 	dune exec bin/bench_diff.exe -- BENCH_PR9.json /tmp/ufp-bench-pr9.json --threshold 0.1
 	dune exec bench/main.exe -- --json-pr10 /tmp/ufp-bench-pr10.json
 	dune exec bin/bench_diff.exe -- BENCH_PR10.json /tmp/ufp-bench-pr10.json --threshold 2.0
-
-# Cross-PR performance history: join every committed BENCH_PR*.json
-# by row id into one markdown table (docs/BENCH_TRAJECTORY.md), one
-# column per PR in PR order.  Regenerate after committing a new
-# artifact.
-bench-trajectory:
-	dune exec bin/bench_diff.exe -- --trajectory docs/BENCH_TRAJECTORY.md BENCH_PR*.json
 
 # Million-edge end-to-end demo: a scale-18 RMAT instance (~2.6M edges)
 # generated, solved with pooled selector rebuilds, and audited.

@@ -10,14 +10,6 @@
      dune exec bench/main.exe -- --no-micro   # skip bechamel section
      dune exec bench/main.exe -- --csv DIR    # also save tables as CSV
      dune exec bench/main.exe -- --markdown F # also save a markdown report
-     dune exec bench/main.exe -- --json F     # PR 5 perf artifact only:
-                                              # list-vs-CSR Dijkstra micros +
-                                              # EXP-SCALE-SELECTOR wall times
-                                              # (schema in EXPERIMENTS.md)
-     dune exec bench/main.exe -- --json-pr6 F # PR 6 scale artifact only:
-                                              # RMAT TEPS trials + end-to-end
-                                              # RMAT solves, seq vs pool
-                                              # (honours --quick)
      dune exec bench/main.exe -- --json-pr8 F # PR 8 telemetry artifact only:
                                               # metrics hot-path micros +
                                               # CI-sized end-to-end anchors,
@@ -25,15 +17,20 @@
                                               # ufp-bench-diff
      dune exec bench/main.exe -- --json-pr9 F # PR 9 scheduler artifact only:
                                               # skewed-workload modelled
-                                              # makespan (static vs dynamic,
-                                              # cost units) + warm-start
-                                              # payment probe counts
+                                              # makespan (static split vs
+                                              # work stealing, cost units)
+                                              # + warm-start payment probe
+                                              # counts
      dune exec bench/main.exe -- --json-pr10 F # PR 10 SSSP artifact only:
                                               # delta-stepping (2-domain pool)
                                               # vs sequential Dijkstra on RMAT
                                               # + packed-vs-wide adjacency
                                               # latency and footprint rows
-                                              # (honours --quick) *)
+                                              # (honours --quick)
+
+   Any other argument exits 2 with a usage line.  The PR 5 and PR 6
+   artifacts (BENCH_PR5.json, BENCH_PR6.json) are frozen history: no
+   emitter writes them any more. *)
 
 module Registry = Ufp_experiments.Registry
 module Harness = Ufp_experiments.Harness
@@ -333,11 +330,11 @@ let run_micro () =
     (ols_rows (micro_tests ()));
   Ufp_prelude.Table.print table
 
-(* --- the PR 5 perf artifact: BENCH_PR5.json ---
+(* --- the self-describing perf artifacts: BENCH_PR{8,9,10}.json ---
 
-   `make bench-json` runs only what the CSR change claims to speed up —
-   the list-vs-CSR Dijkstra trio and the EXP-SCALE-SELECTOR end-to-end
-   wall times — and writes them as JSON (schema in EXPERIMENTS.md). *)
+   Each emitter below writes rows [{ id, unit, better, value }] that
+   ufp-bench-diff joins by id against the committed artifact of the
+   same schema, so the gate needs no schema knowledge. *)
 
 let json_float = function
   | Some x when Float.is_finite x -> Printf.sprintf "%.6g" x
@@ -361,171 +358,22 @@ let provenance_json () =
     git_rev Sys.ocaml_version
     (Domain.recommended_domain_count ())
 
-let run_bench_json path =
-  let _grid, trio = dijkstra_compare_tests () in
-  print_string "### BENCH-JSON: list-vs-CSR Dijkstra micros\n";
-  let micro_rows = ols_rows trio in
-  List.iter
-    (fun (name, est, _) ->
-      Printf.printf "  %-34s %s ns/run\n" name (json_float est))
-    micro_rows;
-  print_string "### BENCH-JSON: EXP-SCALE-SELECTOR end-to-end\n";
-  let eps = 0.3 in
-  let exp_rows =
-    List.map
-      (fun (rows, cols, count) ->
-        let m = (rows * (cols - 1)) + (cols * (rows - 1)) in
-        let capacity = Harness.capacity_for ~m ~eps in
-        let inst = Harness.grid_instance ~seed:1 ~rows ~cols ~capacity ~count in
-        let naive, t_naive =
-          Harness.time_it (fun () -> Bounded_ufp.run ~eps ~selector:`Naive inst)
-        in
-        let incr, t_incr =
-          Harness.time_it (fun () ->
-              Bounded_ufp.run ~eps ~selector:`Incremental inst)
-        in
-        let equal = naive.Bounded_ufp.trace = incr.Bounded_ufp.trace in
-        Printf.printf "  %dx%d %d req: naive %.3fs incremental %.3fs equal %b\n"
-          rows cols count t_naive t_incr equal;
-        (rows, cols, count, m, t_naive, t_incr, equal))
-      [ (6, 6, 200); (8, 8, 400) ]
-  in
+(* Write [rows] — [(id, unit, better, value)] — under [schema]. *)
+let write_rows ~schema path rows =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"schema\": \"ufp-bench-pr5/1\",\n";
+  Buffer.add_string buf (Printf.sprintf "{\n  \"schema\": %S,\n" schema);
   Buffer.add_string buf
     (Printf.sprintf "  \"provenance\": %s,\n" (provenance_json ()));
-  Buffer.add_string buf "  \"dijkstra_micro\": [\n";
+  Buffer.add_string buf "  \"rows\": [\n";
   List.iteri
-    (fun i (name, est, r2) ->
+    (fun i (id, unit, better, value) ->
       Buffer.add_string buf
         (Printf.sprintf
-           "    { \"kernel\": %S, \"ns_per_run\": %s, \"r_square\": %s }%s\n"
-           name (json_float est) (json_float r2)
-           (if i = List.length micro_rows - 1 then "" else ",")))
-    micro_rows;
-  Buffer.add_string buf "  ],\n  \"selector_end_to_end\": [\n";
-  List.iteri
-    (fun i (rows, cols, count, m, t_naive, t_incr, equal) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"grid\": \"%dx%d\", \"edges\": %d, \"requests\": %d, \
-            \"naive_s\": %.6f, \"incremental_s\": %.6f, \"speedup\": %.4f, \
-            \"traces_equal\": %b }%s\n"
-           rows cols m count t_naive t_incr
-           (t_naive /. Float.max t_incr Float_tol.div_guard)
-           equal
-           (if i = List.length exp_rows - 1 then "" else ",")))
-    exp_rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc buf);
-  Printf.printf "wrote %s\n" path
-
-(* --- the PR 6 scale artifact: BENCH_PR6.json ---
-
-   `make bench-json` also runs the million-edge-scale certification:
-   RMAT TEPS trials through the streaming CSR builder (the full sweep
-   tops out at scale 18 — ~2.6M edges) plus an end-to-end Bounded-UFP
-   solve over an RMAT instance with hub-laid requests, sequential vs
-   2-domain pool with byte-identical traces asserted. [--quick] drops
-   to CI-sized scales. Schema in EXPERIMENTS.md. *)
-
-let run_bench_json_pr6 ~quick path =
-  print_string "### BENCH-JSON-PR6: RMAT many-source Dijkstra TEPS\n";
-  let teps_configs =
-    if quick then [ (12, 16, 4) ] else [ (14, 16, 8); (18, 10, 4) ]
-  in
-  let teps_rows =
-    List.map
-      (fun (scale, edge_factor, trials) ->
-        let t =
-          Ufp_experiments.Exp_rmat.run_trial ~scale ~edge_factor ~trials
-            ~seed:1
-        in
-        Printf.printf
-          "  scale %2d ef %2d: n=%d m=%d gen %.3fs trials %.3fs %.2f MTEPS\n%!"
-          scale edge_factor t.Ufp_experiments.Exp_rmat.vertices
-          t.Ufp_experiments.Exp_rmat.edges t.Ufp_experiments.Exp_rmat.gen_s
-          t.Ufp_experiments.Exp_rmat.trial_s
-          (t.Ufp_experiments.Exp_rmat.teps /. 1e6);
-        t)
-      teps_configs
-  in
-  print_string "### BENCH-JSON-PR6: RMAT Bounded-UFP solve, seq vs pool\n";
-  let eps = 0.3 in
-  let solve_configs = if quick then [ (10, 8, 100) ] else [ (12, 8, 200) ] in
-  let solve_rows =
-    List.map
-      (fun (scale, edge_factor, count) ->
-        let rng = Rng.create 7 in
-        let m = edge_factor * (1 lsl scale) in
-        let capacity = Harness.capacity_for ~m ~eps in
-        let g =
-          Gen.rmat rng ~scale ~edge_factor ~capacity_lo:capacity
-            ~capacity_hi:(capacity *. 1.5) ()
-        in
-        let inst = Instance.create g (Workloads.hub_requests rng g ~count ()) in
-        let seq, seq_s =
-          Harness.time_it (fun () -> Bounded_ufp.run ~eps ~pool:`Seq inst)
-        in
-        let pool = Ufp_par.Pool.create ~domains:2 () in
-        let par, pool_s =
-          Fun.protect
-            ~finally:(fun () -> Ufp_par.Pool.shutdown pool)
-            (fun () ->
-              Harness.time_it (fun () ->
-                  Bounded_ufp.run ~eps ~pool:(`Pool pool) inst))
-        in
-        let equal = seq.Bounded_ufp.trace = par.Bounded_ufp.trace in
-        let accepted = List.length seq.Bounded_ufp.solution in
-        Printf.printf
-          "  scale %2d ef %2d %d req: seq %.3fs pool2 %.3fs accepted %d equal \
-           %b\n\
-           %!"
-          scale edge_factor count seq_s pool_s accepted equal;
-        if not equal then
-          failwith "BENCH-JSON-PR6: seq and pool traces differ on RMAT solve";
-        (scale, edge_factor, Graph.n_vertices g, Graph.n_edges g, count,
-         accepted, seq_s, pool_s, equal))
-      solve_configs
-  in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"schema\": \"ufp-bench-pr6/1\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"provenance\": %s,\n" (provenance_json ()));
-  Buffer.add_string buf "  \"rmat_teps\": [\n";
-  List.iteri
-    (fun i (t : Ufp_experiments.Exp_rmat.trial) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"scale\": %d, \"edge_factor\": %d, \"vertices\": %d, \
-            \"edges\": %d, \"trials\": %d, \"gen_s\": %.6f, \"trials_s\": \
-            %.6f, \"relaxations\": %d, \"teps\": %.6g }%s\n"
-           t.Ufp_experiments.Exp_rmat.scale
-           t.Ufp_experiments.Exp_rmat.edge_factor
-           t.Ufp_experiments.Exp_rmat.vertices t.Ufp_experiments.Exp_rmat.edges
-           t.Ufp_experiments.Exp_rmat.trials t.Ufp_experiments.Exp_rmat.gen_s
-           t.Ufp_experiments.Exp_rmat.trial_s
-           t.Ufp_experiments.Exp_rmat.relaxations
-           t.Ufp_experiments.Exp_rmat.teps
-           (if i = List.length teps_rows - 1 then "" else ",")))
-    teps_rows;
-  Buffer.add_string buf "  ],\n  \"rmat_solve\": [\n";
-  List.iteri
-    (fun i (scale, ef, n, m, count, accepted, seq_s, pool_s, equal) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"scale\": %d, \"edge_factor\": %d, \"vertices\": %d, \
-            \"edges\": %d, \"requests\": %d, \"accepted\": %d, \"seq_s\": \
-            %.6f, \"pool2_s\": %.6f, \"speedup\": %.4f, \"traces_equal\": %b \
+           "    { \"id\": %S, \"unit\": %S, \"better\": %S, \"value\": %s \
             }%s\n"
-           scale ef n m count accepted seq_s pool_s
-           (seq_s /. Float.max pool_s Float_tol.div_guard)
-           equal
-           (if i = List.length solve_rows - 1 then "" else ",")))
-    solve_rows;
+           id unit better (json_float value)
+           (if i = List.length rows - 1 then "" else ",")))
+    rows;
   Buffer.add_string buf "  ]\n}\n";
   let oc = open_out path in
   Fun.protect
@@ -535,13 +383,11 @@ let run_bench_json_pr6 ~quick path =
 
 (* --- the PR 8 telemetry artifact: BENCH_PR8.json ---
 
-   The trajectory the perf-regression gate (bin/bench_diff.ml) joins
-   against: self-describing rows [{ id, unit, better, value }] so the
-   gate needs no schema knowledge.  Contents are the telemetry
-   hot-path micros (the sharded-counter claim itself), the Dijkstra
-   trio whose inner loop carries the instrumented increment, and two
-   CI-sized end-to-end anchors — small enough that a fresh run in CI
-   carries identical row ids to the committed artifact. *)
+   Contents are the telemetry hot-path micros (the sharded-counter
+   claim itself), the Dijkstra trio whose inner loop carries the
+   instrumented increment, and two CI-sized end-to-end anchors — small
+   enough that a fresh run in CI carries identical row ids to the
+   committed artifact. *)
 
 let run_bench_json_pr8 path =
   print_string "### BENCH-JSON-PR8: telemetry hot-path micros\n";
@@ -576,35 +422,14 @@ let run_bench_json_pr8 path =
              pay_model pay_inst))
   in
   Printf.printf "  payments-seq-3x3-8req %.3f s\n" pay_s;
-  let micro_row (name, est, _) = (name, "ns", est) in
-  let rows =
-    List.map micro_row obs_rows
+  let micro_row (name, est, _) = (name, "ns", "lower", est) in
+  write_rows ~schema:"ufp-bench-pr8/1" path
+    (List.map micro_row obs_rows
     @ List.map micro_row trio_rows
     @ [
-        ("bounded-ufp-incremental-6x6-200req", "s", Some solve_s);
-        ("payments-seq-3x3-8req", "s", Some pay_s);
-      ]
-  in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"schema\": \"ufp-bench-pr8/1\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"provenance\": %s,\n" (provenance_json ()));
-  Buffer.add_string buf "  \"rows\": [\n";
-  List.iteri
-    (fun i (id, unit, value) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"id\": %S, \"unit\": %S, \"better\": \"lower\", \"value\": \
-            %s }%s\n"
-           id unit (json_float value)
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc buf);
-  Printf.printf "wrote %s\n" path
+        ("bounded-ufp-incremental-6x6-200req", "s", "lower", Some solve_s);
+        ("payments-seq-3x3-8req", "s", "lower", Some pay_s);
+      ])
 
 (* --- the PR 9 work-stealing artifact: BENCH_PR9.json ---
 
@@ -671,16 +496,10 @@ let run_bench_json_pr9 path =
     !worst
   in
   let pool = Ufp_par.Pool.create ~domains:2 () in
-  let dynamic_units, static_s, dynamic_s =
+  let dynamic_units, dynamic_s =
     Fun.protect
       ~finally:(fun () -> Ufp_par.Pool.shutdown pool)
       (fun () ->
-        reset ();
-        let (), static_s =
-          Harness.time_it (fun () ->
-              Ufp_par.Pool.parallel_for_static ~pool:(`Pool pool) ~chunk ~n
-                body)
-        in
         let best = ref max_int in
         let dynamic_s = ref 0.0 in
         for _rep = 1 to 5 do
@@ -694,13 +513,13 @@ let run_bench_json_pr9 path =
           let m = makespan () in
           if m < !best then best := m
         done;
-        (!best, static_s, !dynamic_s /. 5.0))
+        (!best, !dynamic_s /. 5.0))
   in
   let gain = float_of_int static_units /. float_of_int dynamic_units in
   Printf.printf
-    "  %d tasks, one %dx: static chunk-%d makespan %d units (%.3fs), \
-     dynamic best-of-5 %d units (%.3fs avg), gain %.2fx\n"
-    n mult chunk static_units static_s dynamic_units dynamic_s gain;
+    "  %d tasks, one %dx: static chunk-%d makespan %d units, dynamic \
+     best-of-5 %d units (%.3fs avg), gain %.2fx\n"
+    n mult chunk static_units dynamic_units dynamic_s gain;
   print_string "### BENCH-JSON-PR9: warm-started payment probes\n";
   let pay_inst =
     Harness.grid_instance ~seed:6 ~rows:3 ~cols:3 ~capacity:12.0 ~count:8
@@ -739,26 +558,7 @@ let run_bench_json_pr9 path =
       ("payments-warm-start-gain", "ratio", "higher", Some warm_gain);
     ]
   in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"schema\": \"ufp-bench-pr9/1\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"provenance\": %s,\n" (provenance_json ()));
-  Buffer.add_string buf "  \"rows\": [\n";
-  List.iteri
-    (fun i (id, unit, better, value) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"id\": %S, \"unit\": %S, \"better\": %S, \"value\": %s \
-            }%s\n"
-           id unit better (json_float value)
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc buf);
-  Printf.printf "wrote %s\n" path
+  write_rows ~schema:"ufp-bench-pr9/1" path rows
 
 (* --- the PR 10 SSSP-kernel artifact: BENCH_PR10.json ---
 
@@ -887,78 +687,58 @@ let run_bench_json_pr10 ~quick path =
           scale wide_s (wide_bytes /. 1e6) packed_s (packed_bytes /. 1e6);
         let id fmt = Printf.sprintf fmt scale in
         [
-          (id "sssp-rmat-s%d-dijkstra-seq", "s", "lower", dij_s);
-          (id "sssp-rmat-s%d-delta-j2", "s", "lower", delta_s);
-          (id "sssp-rmat-s%d-delta-speedup", "ratio", "higher", speedup);
-          (id "dijkstra-rmat-s%d-wide", "s", "lower", wide_s);
-          (id "dijkstra-rmat-s%d-packed", "s", "lower", packed_s);
-          (id "adjacency-rmat-s%d-wide-bytes", "bytes", "lower", wide_bytes);
-          (id "adjacency-rmat-s%d-packed-bytes", "bytes", "lower", packed_bytes);
+          (id "sssp-rmat-s%d-dijkstra-seq", "s", "lower", Some dij_s);
+          (id "sssp-rmat-s%d-delta-j2", "s", "lower", Some delta_s);
+          (id "sssp-rmat-s%d-delta-speedup", "ratio", "higher", Some speedup);
+          (id "dijkstra-rmat-s%d-wide", "s", "lower", Some wide_s);
+          (id "dijkstra-rmat-s%d-packed", "s", "lower", Some packed_s);
+          (id "adjacency-rmat-s%d-wide-bytes", "bytes", "lower", Some wide_bytes);
+          (id "adjacency-rmat-s%d-packed-bytes", "bytes", "lower",
+           Some packed_bytes);
         ])
       configs
   in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"schema\": \"ufp-bench-pr10/1\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"provenance\": %s,\n" (provenance_json ()));
-  Buffer.add_string buf "  \"rows\": [\n";
-  List.iteri
-    (fun i (id, unit, better, value) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"id\": %S, \"unit\": %S, \"better\": %S, \"value\": %s \
-            }%s\n"
-           id unit better
-           (json_float (Some value))
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc buf);
-  Printf.printf "wrote %s\n" path
+  write_rows ~schema:"ufp-bench-pr10/1" path rows
 
 (* --- driver --- *)
 
+let usage =
+  "usage: main.exe [--quick] [--no-micro] [--list] [--only ID] [--csv DIR] \
+   [--markdown FILE] [--json-pr8 FILE | --json-pr9 FILE | --json-pr10 FILE]"
+
 let () =
-  let args = Array.to_list Sys.argv in
-  let quick = List.mem "--quick" args in
-  let micro = not (List.mem "--no-micro" args) in
-  let flag_value name =
-    let rec find = function
-      | key :: value :: _ when key = name -> Some value
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
-  in
-  let only = flag_value "--only" in
-  let csv_dir = flag_value "--csv" in
-  let markdown_path = flag_value "--markdown" in
-  (match flag_value "--json" with
-  | Some path ->
-    run_bench_json path;
-    exit 0
-  | None -> ());
-  (match flag_value "--json-pr6" with
-  | Some path ->
-    run_bench_json_pr6 ~quick path;
-    exit 0
-  | None -> ());
-  (match flag_value "--json-pr8" with
-  | Some path ->
-    run_bench_json_pr8 path;
-    exit 0
-  | None -> ());
-  (match flag_value "--json-pr9" with
-  | Some path ->
-    run_bench_json_pr9 path;
-    exit 0
-  | None -> ());
-  (match flag_value "--json-pr10" with
-  | Some path ->
-    run_bench_json_pr10 ~quick path;
+  let quick = ref false in
+  let micro = ref true in
+  let list = ref false in
+  let only = ref None in
+  let csv_dir = ref None in
+  let markdown_path = ref None in
+  let artifact = ref None in
+  let some r = Arg.String (fun v -> r := Some v) in
+  let emitter f = Arg.String (fun path -> artifact := Some (fun () -> f path)) in
+  (* Unknown options and stray arguments exit 2 with the usage line, so
+     a stale flag cannot silently fall through to the full suite. *)
+  Arg.parse
+    [
+      ("--quick", Arg.Set quick, " reduced sweeps");
+      ("--no-micro", Arg.Clear micro, " skip the bechamel section");
+      ("--list", Arg.Set list, " list the experiments");
+      ("--only", some only, "ID run one experiment");
+      ("--csv", some csv_dir, "DIR also save tables as CSV");
+      ("--markdown", some markdown_path, "FILE also save a markdown report");
+      ("--json-pr8", emitter run_bench_json_pr8, "FILE write BENCH_PR8 rows");
+      ("--json-pr9", emitter run_bench_json_pr9, "FILE write BENCH_PR9 rows");
+      ( "--json-pr10",
+        emitter (fun path -> run_bench_json_pr10 ~quick:!quick path),
+        "FILE write BENCH_PR10 rows" );
+    ]
+    (fun arg -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" arg)))
+    usage;
+  let quick = !quick and only = !only and csv_dir = !csv_dir in
+  let markdown_path = !markdown_path in
+  (match !artifact with
+  | Some run ->
+    run ();
     exit 0
   | None -> ());
   let markdown_buf = Buffer.create 4096 in
@@ -992,23 +772,11 @@ let () =
     match csv_dir with
     | None -> ()
     | Some dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      List.iteri
-        (fun k table ->
-          let path =
-            Filename.concat dir
-              (Printf.sprintf "%s-%d.csv"
-                 (String.lowercase_ascii entry.Registry.id)
-                 k)
-          in
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () -> output_string oc (Ufp_prelude.Table.to_csv table));
-          Printf.printf "wrote %s\n" path)
-        tables
+      List.iter
+        (Printf.printf "wrote %s\n")
+        (Registry.save_csv ~dir entry tables)
   in
-  if List.mem "--list" args then begin
+  if !list then begin
     List.iter
       (fun (e : Registry.entry) ->
         Printf.printf "%-18s %-28s %s\n" e.Registry.id e.Registry.paper_artifact
@@ -1030,7 +798,7 @@ let () =
        One experiment per paper artifact; see DESIGN.md section 4 and \
        EXPERIMENTS.md.\n";
     List.iter emit Registry.all;
-    if micro then run_micro ());
+    if !micro then run_micro ());
   (match markdown_path with
   | Some path ->
     let oc = open_out path in

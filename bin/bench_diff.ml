@@ -3,23 +3,17 @@
    Loads two BENCH_*.json files (the committed trajectory and a fresh
    run), joins their benchmark rows by id, reports the current/baseline
    ratio per metric, and exits non-zero when any gated metric moved
-   past the threshold in its bad direction. This is what finally
-   *reads* the trajectory the bench driver has been emitting since
-   PR 5: a regression like the one PR 6's stack-overflow fix caught by
-   luck now fails CI instead of sailing through.
+   past the threshold in its bad direction: a regression like the one
+   PR 6's stack-overflow fix caught by luck fails CI instead of
+   sailing through.
 
-   Row extraction is schema-aware:
-     - a top-level "rows" array (ufp-bench-pr8/1) is self-describing:
-       {"id": ..., "value": ..., "better": "lower"|"higher", ...};
-     - any other top-level array of objects (the pr5/pr6 schemas) is
-       flattened generically: string fields and small integer identity
-       fields (scale, edge_factor, requests, trials) name the row, and
-       each numeric field becomes a metric whose direction is inferred
-       from its name (`*_s`, `*_ns`, `ns_per_run` are lower-better;
-       `*teps`, `*speedup` are higher-better; anything else is
-       informational and reported but never gated).
-   "schema" and "provenance" fields are skipped (the provenance stamp
-   — git rev, OCaml version, core count — is printed for context).
+   Rows come from the top-level "rows" array (the ufp-bench-pr8/1,
+   pr9/1 and pr10/1 schemas), which is self-describing:
+   {"id": ..., "value": ..., "better": "lower"|"higher", ...}; a row
+   with any other "better" is informational, reported but never gated.
+   Every other top-level field is ignored, so a document without a
+   "rows" array joins nothing and exits 2. The provenance stamp — git
+   rev, OCaml version, core count — is printed for context.
 
    Usage: bench-diff [--threshold R] BASELINE.json CURRENT.json
      --threshold R   gate at ratio > 1+R (lower-better) or
@@ -29,17 +23,6 @@
    Exit 1: at least one regression.
    Exit 2: usage/parse error, or no gated metric joined (a silent
            no-op gate would be worse than none).
-
-   A second mode renders the whole committed trajectory instead of
-   gating one step of it:
-
-     bench-diff --trajectory OUT.md BENCH_PR5.json BENCH_PR6.json ...
-
-   joins every row id across all the given artifacts (columns ordered
-   by the number in the file name, so PR10 sorts after PR9) into one
-   markdown table — value, unit, better-direction, and a provenance
-   footnote per artifact. `make bench-trajectory` regenerates
-   docs/BENCH_TRAJECTORY.md this way.
 
    Self-contained (no JSON library), in the spirit of
    bin/trace_check.ml. *)
@@ -219,40 +202,12 @@ let parse_file path =
 
 type direction = Lower | Higher | Info
 
-type row = { r_id : string; r_dir : direction; r_unit : string; r_value : float }
+type row = { r_id : string; r_dir : direction; r_value : float }
 
-(* Small integer fields that identify a configuration rather than
-   measure it (the pr5/pr6 schemas carry these). *)
-let identity_field = function
-  | "scale" | "edge_factor" | "requests" | "trials" | "domains" -> true
-  | _ -> false
-
-let ends_with suffix s =
-  let ns = String.length s and nx = String.length suffix in
-  ns >= nx && String.sub s (ns - nx) nx = suffix
-
-let infer_direction name =
-  if
-    ends_with "_s" name || ends_with "_ns" name || name = "ns_per_run"
-    || ends_with "_ms" name
-  then Lower
-  else if ends_with "teps" name || ends_with "speedup" name then Higher
-  else Info
-
-let direction_of_string = function
-  | "lower" -> Lower
-  | "higher" -> Higher
+let direction_of = function
+  | Some "lower" -> Lower
+  | Some "higher" -> Higher
   | _ -> Info
-
-(* Units for generically flattened rows, read off the same naming
-   convention the direction inference uses. *)
-let infer_unit name =
-  if ends_with "_s" name then "s"
-  else if ends_with "_ns" name || name = "ns_per_run" then "ns"
-  else if ends_with "_ms" name then "ms"
-  else if ends_with "teps" name then "TEPS"
-  else if ends_with "speedup" name then "x"
-  else ""
 
 let fields = function Obj f -> f | _ -> []
 
@@ -262,66 +217,22 @@ let str_field o key =
 let num_field o key =
   match List.assoc_opt key (fields o) with Some (Num v) -> Some v | _ -> None
 
-(* ufp-bench-pr8/1 rows carry their own id and direction. *)
-let rows_of_pr8 items =
-  List.filter_map
-    (fun item ->
-      match (str_field item "id", num_field item "value") with
-      | Some id, Some v ->
-        let dir =
-          match str_field item "better" with
-          | Some d -> direction_of_string d
-          | None -> Info
-        in
-        let unit = Option.value (str_field item "unit") ~default:"" in
-        Some { r_id = id; r_dir = dir; r_unit = unit; r_value = v }
-      | _ -> None)
-    items
-
-(* Generic flattening for the pr5/pr6 row shapes. *)
-let rows_of_generic arr_name items =
-  List.concat_map
-    (fun item ->
-      let id_parts =
-        List.filter_map
-          (fun (k, v) ->
-            match v with
-            | Str s -> Some (Printf.sprintf "%s=%s" k s)
-            | Num n when identity_field k && Float.is_integer n ->
-              Some (Printf.sprintf "%s=%d" k (int_of_float n))
-            | _ -> None)
-          (fields item)
-      in
-      let id_base =
-        if id_parts = [] then arr_name
-        else Printf.sprintf "%s{%s}" arr_name (String.concat "," id_parts)
-      in
-      List.filter_map
-        (fun (k, v) ->
-          match v with
-          | Num n when not (identity_field k) ->
-            Some
-              {
-                r_id = id_base ^ "." ^ k;
-                r_dir = infer_direction k;
-                r_unit = infer_unit k;
-                r_value = n;
-              }
-          | _ -> None)
-        (fields item))
-    items
-
 let extract_rows doc =
-  List.concat_map
-    (fun (key, v) ->
-      match (key, v) with
-      | ("schema" | "provenance"), _ -> []
-      | "rows", List items -> rows_of_pr8 items
-      | _, List items
-        when List.exists (function Obj _ -> true | _ -> false) items ->
-        rows_of_generic key items
-      | _ -> [])
-    (fields doc)
+  match List.assoc_opt "rows" (fields doc) with
+  | Some (List items) ->
+    List.filter_map
+      (fun item ->
+        match (str_field item "id", num_field item "value") with
+        | Some id, Some v ->
+          Some
+            {
+              r_id = id;
+              r_dir = direction_of (str_field item "better");
+              r_value = v;
+            }
+        | _ -> None)
+      items
+  | _ -> []
 
 let provenance_line doc =
   match List.assoc_opt "provenance" (fields doc) with
@@ -339,116 +250,10 @@ let provenance_line doc =
          [ part "git_rev"; part "ocaml_version"; part "recommended_domains" ])
   | None -> "(no provenance stamp)"
 
-(* --- trajectory rendering --- *)
-
-(* Column order: the PR number embedded in the file name (BENCH_PR10
-   after BENCH_PR9, which plain lexicographic order gets wrong), name
-   as tie-break. *)
-let file_ordinal path =
-  let base = Filename.basename path in
-  let n = String.length base in
-  let best = ref (-1) in
-  let i = ref 0 in
-  while !i < n do
-    if base.[!i] >= '0' && base.[!i] <= '9' then begin
-      let j = ref !i in
-      while !j < n && base.[!j] >= '0' && base.[!j] <= '9' do incr j done;
-      (match int_of_string_opt (String.sub base !i (!j - !i)) with
-      | Some v when v > !best -> best := v
-      | _ -> ());
-      i := !j
-    end
-    else incr i
-  done;
-  !best
-
-let direction_label = function
-  | Lower -> "lower"
-  | Higher -> "higher"
-  | Info -> "info"
-
-let write_trajectory out_path files ~load =
-  let files =
-    List.stable_sort
-      (fun a b ->
-        let c = compare (file_ordinal a) (file_ordinal b) in
-        if c <> 0 then c else compare a b)
-      files
-  in
-  let columns =
-    List.map
-      (fun path ->
-        let doc = load path in
-        (Filename.basename path, extract_rows doc, provenance_line doc))
-      files
-  in
-  (* Row order: first appearance across the artifacts in column
-     order, so metrics appear in the order they entered the
-     trajectory. *)
-  let seen = Hashtbl.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun (_, rows, _) ->
-      List.iter
-        (fun r ->
-          if not (Hashtbl.mem seen r.r_id) then begin
-            Hashtbl.add seen r.r_id r;
-            order := r.r_id :: !order
-          end)
-        rows)
-    columns;
-  let ids = List.rev !order in
-  let buf = Buffer.create 4096 in
-  let bprintf fmt = Printf.bprintf buf fmt in
-  bprintf "# Benchmark trajectory\n\n";
-  bprintf
-    "Every committed `BENCH_PR*.json` artifact joined by row id — one \
-     column per PR, in PR order. Regenerate with `make bench-trajectory` \
-     (this file is generated; edit `bin/bench_diff.ml` instead). A `—` \
-     means the artifact does not carry that row; `better` says which \
-     direction is an improvement (`info` rows are context, never \
-     gated).\n\n";
-  bprintf "| benchmark | unit | better |%s\n"
-    (String.concat ""
-       (List.map (fun (name, _, _) -> " " ^ name ^ " |") columns));
-  bprintf "|---|---|---|%s\n"
-    (String.concat "" (List.map (fun _ -> "---|") columns));
-  List.iter
-    (fun id ->
-      let proto = Hashtbl.find seen id in
-      bprintf "| `%s` | %s | %s |" id
-        (if proto.r_unit = "" then " " else proto.r_unit)
-        (direction_label proto.r_dir);
-      List.iter
-        (fun (_, rows, _) ->
-          match List.find_opt (fun r -> r.r_id = id) rows with
-          | Some r -> bprintf " %.6g |" r.r_value
-          | None -> bprintf " — |")
-        columns;
-      bprintf "\n")
-    ids;
-  bprintf "\n## Provenance\n\n";
-  List.iter
-    (fun (name, rows, prov) ->
-      bprintf "- `%s` — %d rows — %s\n" name (List.length rows) prov)
-    columns;
-  let oc =
-    try open_out out_path
-    with Sys_error msg ->
-      Printf.eprintf "bench-diff: %s\n" msg;
-      exit 2
-  in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Buffer.contents buf));
-  Printf.printf "wrote %s: %d benchmarks x %d artifacts\n" out_path
-    (List.length ids) (List.length columns)
-
 (* --- the gate --- *)
 
 let () =
   let threshold = ref 0.25 in
-  let trajectory_out = ref None in
   let paths = ref [] in
   let rec parse_args = function
     | "--threshold" :: v :: rest -> (
@@ -459,9 +264,6 @@ let () =
       | _ ->
         prerr_endline "bench-diff: --threshold expects a positive number";
         exit 2)
-    | "--trajectory" :: out :: rest ->
-      trajectory_out := Some out;
-      parse_args rest
     | arg :: rest ->
       paths := arg :: !paths;
       parse_args rest
@@ -474,17 +276,6 @@ let () =
       Printf.eprintf "bench-diff: %s: %s\n" path msg;
       exit 2
   in
-  (match !trajectory_out with
-  | Some out ->
-    (match List.rev !paths with
-    | [] ->
-      prerr_endline
-        "usage: bench-diff --trajectory OUT.md BENCH_PR*.json...";
-      exit 2
-    | files ->
-      write_trajectory out files ~load;
-      exit 0)
-  | None -> ());
   let base_path, cur_path =
     match List.rev !paths with
     | [ b; c ] -> (b, c)

@@ -342,22 +342,23 @@ let algo_arg =
   Arg.(value & opt string "bounded-ufp" & info [ "algo"; "a" ] ~docv:"ALGO"
          ~doc:"Allocation algorithm.")
 
-let eps_arg =
-  Arg.(value & opt float 0.3 & info [ "eps"; "e" ] ~doc:"Accuracy parameter.")
-
-(* The primal-dual algorithms' accuracy parameter lives in (0, 1]: an
-   out-of-range value is a usage error, caught before any work. *)
-let pd_eps_arg =
+(* An accuracy parameter outside its interval is a usage error, caught
+   before any work. [below_one] is the upper end test: the primal-dual
+   algorithms take (0, 1], Garg-Konemann ([Mcf.solve]) needs (0, 1). *)
+let eps_in ~interval below_one =
   let parse s =
     match float_of_string_opt s with
-    | Some e when e > 0.0 && e <= 1.0 -> Ok e
-    | Some _ -> Error (`Msg (Printf.sprintf "%s is not in (0, 1]" s))
+    | Some e when e > 0.0 && below_one e -> Ok e
+    | Some _ -> Error (`Msg (Printf.sprintf "%s is not in %s" s interval))
     | None -> Error (`Msg (Printf.sprintf "%S is not a number" s))
   in
   Arg.(
     value
     & opt (conv (parse, Format.pp_print_float)) 0.3
-    & info [ "eps"; "e" ] ~doc:"Accuracy parameter, in (0, 1].")
+    & info [ "eps"; "e" ] ~doc:("Accuracy parameter, in " ^ interval ^ "."))
+
+let pd_eps_arg = eps_in ~interval:"(0, 1]" (fun e -> e <= 1.0)
+let lp_eps_arg = eps_in ~interval:"(0, 1)" (fun e -> e < 1.0)
 
 let verbose_arg =
   Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print the allocation paths.")
@@ -440,7 +441,7 @@ let lp path eps =
 
 let lp_cmd =
   let doc = "certified fractional LP bounds (Garg-Konemann)" in
-  Cmd.v (Cmd.info "lp" ~doc) Term.(const lp $ file_arg $ eps_arg)
+  Cmd.v (Cmd.info "lp" ~doc) Term.(const lp $ file_arg $ lp_eps_arg)
 
 (* --- verify-solution --- *)
 
@@ -500,7 +501,9 @@ let dot_algo_arg =
 let export_dot_cmd =
   let doc = "export an instance (optionally with an allocation) as Graphviz DOT" in
   Cmd.v (Cmd.info "export-dot" ~doc)
-    Term.(const export_dot $ file_arg $ dot_algo_arg $ eps_arg $ seed_arg $ out_arg)
+    Term.(
+      const export_dot $ file_arg $ dot_algo_arg $ pd_eps_arg $ seed_arg
+      $ out_arg)
 
 (* --- inspect --- *)
 
@@ -518,7 +521,7 @@ let inspect path eps =
 
 let inspect_cmd =
   let doc = "report instance statistics and regime diagnostics" in
-  Cmd.v (Cmd.info "inspect" ~doc) Term.(const inspect $ file_arg $ eps_arg)
+  Cmd.v (Cmd.info "inspect" ~doc) Term.(const inspect $ file_arg $ pd_eps_arg)
 
 (* --- experiment --- *)
 

@@ -160,7 +160,7 @@ let run_and_print ?quick ?(oc = stdout) entry =
     entry.description;
   List.iter (fun t -> Ufp_prelude.Table.print ~oc t) (entry.run ?quick ())
 
-let run_and_save_csv ?quick ~dir entry =
+let save_csv ~dir entry tables =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   List.mapi
     (fun k table ->
@@ -173,4 +173,4 @@ let run_and_save_csv ?quick ~dir entry =
         ~finally:(fun () -> close_out oc)
         (fun () -> output_string oc (Ufp_prelude.Table.to_csv table));
       path)
-    (entry.run ?quick ())
+    tables

@@ -268,7 +268,7 @@ let def_facts cg ms memo key =
 type seed = {
   seed_path : string;
   seed_loc : Location.t;
-  seed_fn : string;  (* a Pool entry point: parallel_for[_dynamic|_static], parallel_mapi, submit *)
+  seed_fn : string;  (* a Pool entry point: parallel_for[_dynamic], parallel_mapi, submit *)
   seed_arg : expression option;
   seed_locals : (string, expression list) Hashtbl.t;
   seed_allow_r7 : bool;
@@ -298,7 +298,7 @@ let is_pool_seed cg ~path lid =
   | Ldot
       ( mp,
         (( "parallel_for" | "parallel_mapi" | "parallel_for_dynamic"
-         | "parallel_for_static" | "submit" ) as fn) ) ->
+         | "submit" ) as fn) ) ->
     if
       String.equal
         (Callgraph.resolve_module cg ~path (Callgraph.last_module mp))

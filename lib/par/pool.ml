@@ -68,10 +68,8 @@ type job = {
   j_n : int;
   j_grain : int;
   j_f : int -> unit;
-  j_static : bool;  (* true = legacy fixed-chunk cursor scheduling *)
-  j_next : int Atomic.t;  (* static mode only: next unclaimed index *)
   j_completed : int Atomic.t;  (* indices finished or skipped *)
-  j_active : int Atomic.t;  (* workers inside execute_job (quiescence) *)
+  j_active : int Atomic.t;  (* workers inside ws_loop (quiescence) *)
   j_exn : (exn * Printexc.raw_backtrace) option Atomic.t;
 }
 
@@ -242,33 +240,6 @@ let rec ws_loop pool job me backoff =
           ws_loop pool job me 0
         end)
 
-(* Legacy fixed-chunk scheduling, kept as the bench baseline for the
-   skewed-probe pathology (one Atomic cursor hands out fixed chunks;
-   an expensive index strands the rest of its chunk on one executor). *)
-let static_loop pool job =
-  let n = job.j_n in
-  let rec claim () =
-    let lo = Atomic.fetch_and_add job.j_next job.j_grain in
-    if lo < n then begin
-      let hi = Int.min n (lo + job.j_grain) in
-      Metrics.incr m_chunks;
-      (if Atomic.get job.j_exn = None then
-         try
-           for i = lo to hi - 1 do
-             job.j_f i
-           done
-         with e ->
-           let bt = Printexc.get_raw_backtrace () in
-           ignore (Atomic.compare_and_set job.j_exn None (Some (e, bt))));
-      finish pool job (hi - lo);
-      claim ()
-    end
-  in
-  claim ()
-
-let execute_job pool job me =
-  if job.j_static then static_loop pool job else ws_loop pool job me 0
-
 let rec worker_loop pool me seen_epoch =
   Mutex.lock pool.lock;
   while (not pool.stopped) && pool.epoch = seen_epoch do
@@ -286,7 +257,7 @@ let rec worker_loop pool me seen_epoch =
   if not stopped then begin
     (match job with
     | Some j ->
-      execute_job pool j me;
+      ws_loop pool j me 0;
       Mutex.lock pool.lock;
       Atomic.decr j.j_active;
       if Atomic.get j.j_active = 0 && Atomic.get j.j_completed >= j.j_n then
@@ -342,7 +313,7 @@ let shutdown pool =
 (* Submit one job and participate (as executor [size - 1]) until every
    index completed AND every worker that joined the job has left the
    scheduler (quiescence — see the header comment). *)
-let run pool ~static ~grain ~n f =
+let run pool ~grain ~n f =
   if n > 0 then begin
     if n > max_n then
       invalid_arg
@@ -358,8 +329,6 @@ let run pool ~static ~grain ~n f =
         j_n = n;
         j_grain = Int.max 1 grain;
         j_f = f;
-        j_static = static;
-        j_next = Atomic.make 0;
         j_completed = Atomic.make 0;
         j_active = Atomic.make 0;
         j_exn = Atomic.make None;
@@ -375,14 +344,11 @@ let run pool ~static ~grain ~n f =
     Condition.broadcast pool.work_ready;
     Mutex.unlock pool.lock;
     let me = pool.size - 1 in
-    if static then static_loop pool job
-    else begin
-      (* Seed the whole range through the splitter: the first halves
-         land on the caller's deque (waking parked thieves) while the
-         caller dives into the cache-hot lower half. *)
-      process pool job me 0 n;
-      ws_loop pool job me 0
-    end;
+    (* Seed the whole range through the splitter: the first halves land
+       on the caller's deque (waking parked thieves) while the caller
+       dives into the cache-hot lower half. *)
+    process pool job me 0 n;
+    ws_loop pool job me 0;
     Mutex.lock pool.lock;
     while Atomic.get job.j_completed < n || Atomic.get job.j_active > 0 do
       Condition.wait pool.work_done pool.lock
@@ -400,15 +366,7 @@ let parallel_for_dynamic ?(pool = `Seq) ?(grain = 1) ~n f =
     for i = 0 to n - 1 do
       f i
     done
-  | `Pool p -> run p ~static:false ~grain ~n f
-
-let parallel_for_static ?(pool = `Seq) ?(chunk = 1) ~n f =
-  match pool with
-  | `Seq ->
-    for i = 0 to n - 1 do
-      f i
-    done
-  | `Pool p -> run p ~static:true ~grain:chunk ~n f
+  | `Pool p -> run p ~grain ~n f
 
 let parallel_for ?pool ?(chunk = 1) ~n f =
   parallel_for_dynamic ?pool ~grain:chunk ~n f

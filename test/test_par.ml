@@ -311,18 +311,6 @@ let test_deque_growth () =
 
 (* --- the work-stealing scheduler on a real pool --- *)
 
-let test_static_matches_init () =
-  (* The fixed-chunk baseline keeps the same exactly-once semantics. *)
-  let pool = `Pool (Lazy.force pool3) in
-  let n = 500 in
-  let hits = Array.init n (fun _ -> Atomic.make 0) in
-  Pool.parallel_for_static ~pool ~chunk:7 ~n (fun i -> Atomic.incr hits.(i));
-  Array.iteri
-    (fun i h ->
-      if Atomic.get h <> 1 then
-        Alcotest.failf "static: index %d ran %d times" i (Atomic.get h))
-    hits
-
 let test_skewed_exactly_once () =
   (* One index ~100x more expensive than the rest: the work-stealing
      path must still run every index exactly once while thieves peel
@@ -408,7 +396,6 @@ let () =
         ] );
       ( "work-stealing",
         [
-          tc "static baseline exactly once" `Quick test_static_matches_init;
           tc "skewed workload exactly once" `Quick test_skewed_exactly_once;
           QCheck_alcotest.to_alcotest qcheck_submit_exactly_once;
         ] );
